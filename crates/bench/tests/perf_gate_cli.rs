@@ -1,5 +1,10 @@
 //! End-to-end CLI tests for the `perf_gate` binary: baseline recording,
 //! a passing gate, and a demonstrable failure under synthetic slowdown.
+//!
+//! The tests assert gate *logic* — counters, exit codes, messages. Where a
+//! run is expected to pass, its wall-ratio and overhead thresholds are set
+//! far beyond anything machine noise can produce; only the synthetic
+//! slowdown and the impossible overhead threshold are expected to fail.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -13,6 +18,18 @@ fn gate(args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("spawn perf_gate")
+}
+
+/// [`gate`] with wall-ratio and overhead limits no noisy machine can
+/// cross, for runs whose gate logic is expected to pass.
+fn gate_noise_proof(args: &[&str]) -> std::process::Output {
+    gate(
+        &[
+            args,
+            &["--threshold", "1000", "--overhead-threshold", "1000"],
+        ]
+        .concat(),
+    )
 }
 
 #[test]
@@ -43,9 +60,9 @@ fn gate_passes_against_fresh_baseline_and_fails_under_slowdown() {
     );
     assert!(baseline.exists(), "baseline file written");
 
-    // Same seeded workloads against that baseline: counters match exactly,
-    // wall times are within threshold → exit 0 and BENCH_current written.
-    let out = gate(&[
+    // Same seeded workloads against that baseline: counters match exactly
+    // → exit 0 and BENCH_current written.
+    let out = gate_noise_proof(&[
         "--quick",
         "--no-history",
         "--k",
@@ -174,7 +191,7 @@ fn gate_without_baseline_exits_zero_with_note() {
     let baseline = tmp("missing_baseline.json");
     let current = tmp("nobase_current.json");
     let _ = std::fs::remove_file(&baseline);
-    let out = gate(&[
+    let out = gate_noise_proof(&[
         "--quick",
         "--no-history",
         "--k",
@@ -224,7 +241,7 @@ fn history_appends_and_bench_trend_analyzes() {
         "--history",
         history_s,
     ];
-    let out = gate(&base);
+    let out = gate_noise_proof(&base);
     assert!(out.status.success(), "gate run failed");
     let text = std::fs::read_to_string(&history).expect("history appended");
     assert_eq!(text.lines().count(), 1, "one entry per gate run");
@@ -234,7 +251,7 @@ fn history_appends_and_bench_trend_analyzes() {
 
     // A second run gives the analyzer a reference; same seeded workloads
     // on the same machine stay within any sane threshold.
-    let out = gate(&base);
+    let out = gate_noise_proof(&base);
     assert!(out.status.success(), "second gate run failed");
     let text = std::fs::read_to_string(&history).unwrap();
     assert_eq!(text.lines().count(), 2, "history is append-only");

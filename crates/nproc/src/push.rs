@@ -18,6 +18,7 @@
 
 use crate::grid::NPartition;
 use hetmmm_push::geom::Axis;
+use hetmmm_push::targets::{self, Candidates, LineGrid};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -73,36 +74,21 @@ impl PushMode {
     pub const ALL: [PushMode; 3] = [PushMode::Strict, PushMode::Budgeted, PushMode::Relaxed];
 }
 
-/// Canonical-coordinate grid accessors the generalized push kernel needs.
-/// Implemented by the mutable [`NView`] and by the probe's read-only
-/// overlay, so applying and probing share one legality implementation.
-/// Method names mirror the three-processor `PushGrid` trait.
-///
-/// `enclosing_rect` and `line_word` are only consulted by [`n_prepare`],
-/// before any swap; overlay implementations may answer them from their
-/// base grid.
-trait NPushGrid {
+/// Canonical-coordinate grid accessors the generalized push kernel needs,
+/// on top of the line queries phase 1 shares with the three-processor
+/// engine ([`LineGrid`]). Implemented by the mutable [`NView`] and by the
+/// probe's read-only overlay, so applying and probing share one legality
+/// implementation. Method names mirror the three-processor `PushGrid`
+/// trait.
+trait NPushGrid: LineGrid<Proc = u8> {
     /// Owner of canonical cell `(u, v)`.
     fn get(&self, u: usize, v: usize) -> u8;
     /// Swap two canonical cells.
     fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical row `u` contain elements of `proc`?
-    fn row_has(&self, proc: u8, u: usize) -> bool;
     /// Does canonical column `v` contain elements of `proc`?
     fn col_has(&self, proc: u8, v: usize) -> bool;
-    /// Elements of `proc` in canonical column `v`.
-    fn col_count(&self, proc: u8, v: usize) -> u32;
-    /// Elements of `proc` in canonical row `u`.
-    fn row_count(&self, proc: u8, u: usize) -> u32;
-    /// Enclosing rectangle `(top, bottom, left, right)` in canonical
-    /// coordinates.
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)>;
     /// VoC line units of the underlying grid.
     fn voc_units(&self) -> u64;
-    /// Word `w` of `proc`'s canonical-row-`u` bit-plane line (bit `b` =
-    /// canonical cell `(u, w * 64 + b)`), for the word sweeps in
-    /// [`n_prepare`].
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64;
 }
 
 /// Canonical-coordinate accessors for a direction.
@@ -121,6 +107,44 @@ impl<'a> NView<'a> {
     }
 }
 
+impl LineGrid for NView<'_> {
+    type Proc = u8;
+
+    #[inline]
+    fn row_has(&self, proc: u8, u: usize) -> bool {
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_has(proc, i),
+            (j, Axis::Col) => self.part.col_has(proc, j),
+        }
+    }
+
+    #[inline]
+    fn row_count(&self, proc: u8, u: usize) -> u32 {
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_count(proc, i),
+            (j, Axis::Col) => self.part.col_count(proc, j),
+        }
+    }
+
+    #[inline]
+    fn col_count(&self, proc: u8, v: usize) -> u32 {
+        match self.canon_col_line(v) {
+            (j, Axis::Col) => self.part.col_count(proc, j),
+            (i, Axis::Row) => self.part.row_count(proc, i),
+        }
+    }
+
+    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
+        let r = self.part.enclosing_rect(proc)?;
+        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
+    }
+
+    #[inline]
+    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
+        self.plane_line_word(proc, u, w)
+    }
+}
+
 impl NPushGrid for NView<'_> {
     #[inline]
     fn get(&self, u: usize, v: usize) -> u8 {
@@ -136,14 +160,6 @@ impl NPushGrid for NView<'_> {
     }
 
     #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_has(proc, i),
-            (j, Axis::Col) => self.part.col_has(proc, j),
-        }
-    }
-
-    #[inline]
     fn col_has(&self, proc: u8, v: usize) -> bool {
         match self.canon_col_line(v) {
             (j, Axis::Col) => self.part.col_has(proc, j),
@@ -152,34 +168,8 @@ impl NPushGrid for NView<'_> {
     }
 
     #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_count(proc, j),
-            (i, Axis::Row) => self.part.row_count(proc, i),
-        }
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_count(proc, i),
-            (j, Axis::Col) => self.part.col_count(proc, j),
-        }
-    }
-
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
-        let r = self.part.enclosing_rect(proc)?;
-        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
-    }
-
-    #[inline]
     fn voc_units(&self) -> u64 {
         self.part.voc_units()
-    }
-
-    #[inline]
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
     }
 }
 
@@ -203,135 +193,22 @@ pub struct NAppliedPush {
     pub touched_mask: u64,
 }
 
-/// Mode-independent preparation of a push attempt: the cleaned line and
-/// the per-owner candidate target lists (phase 1). Computed once and
-/// reused across the mode ladder by [`try_push_n`] and the probe.
+/// Mode-independent preparation of a push attempt: the displaced owners
+/// and phase 1 over them. Computed once and reused across the mode ladder
+/// by [`try_push_n`] and the probe.
 struct NPrepared {
-    /// Canonical index of the cleaned line.
-    kline: usize,
-    /// Canonical columns of the active processor's elements in that line.
-    cleaned: Vec<usize>,
     /// Owner slot order: every processor except the active one.
     owners: Vec<u8>,
-    /// Candidate interior targets per owner slot, best-first.
-    owner_targets: Vec<Vec<(usize, usize)>>,
+    /// The cleaned line and the candidate targets per owner slot.
+    lines: Candidates,
 }
 
-/// Phase 1 — locate the cleaned line and bucket interior targets per
-/// displaced owner by active dirty cost and owner-line cleaning bonus.
+/// Phase 1 — locate the cleaned line and bucket interior targets for the
+/// `k − 1` displaced owners ([`hetmmm_push::targets::collect`]).
 fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
-    let (top, bottom, left, right) = view.enclosing_rect(proc)?;
-    if bottom == top {
-        return None; // single-line rectangle: nowhere to go
-    }
-    let kline = top;
-
-    // Word range and per-word masks covering canonical columns
-    // [left, right] of the bit-planes.
-    let w_lo = left / 64;
-    let w_hi = right / 64;
-    let lo_mask = !0u64 << (left % 64);
-    let hi_mask = {
-        let r = right % 64;
-        if r == 63 {
-            !0u64
-        } else {
-            (1u64 << (r + 1)) - 1
-        }
-    };
-    let rect_mask = |w: usize| -> u64 {
-        let mut m = !0u64;
-        if w == w_lo {
-            m &= lo_mask;
-        }
-        if w == w_hi {
-            m &= hi_mask;
-        }
-        m
-    };
-
-    // Active elements in the cleaned line, word-wise (ascending v).
-    let mut cleaned: Vec<usize> = Vec::new();
-    for w in w_lo..=w_hi {
-        let mut bits = view.line_word(proc, kline, w) & rect_mask(w);
-        while bits != 0 {
-            cleaned.push(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    let m = cleaned.len();
-    debug_assert!(m > 0);
-
-    // Owner slots: every processor except the active one, ascending.
     let owners: Vec<u8> = (0..k as u8).filter(|&p| p != proc).collect();
-
-    // Per-column facts are invariant during prepare, so compute them once
-    // per rectangle width as bitmasks over the rect words: `col_ok[w]`
-    // bit b — the active side already owns column `w*64+b` outside the
-    // cleaned line; `col_cleans[slot][w]` bit b — removing the owner's
-    // element would empty that owner's column.
-    let wn = w_hi - w_lo + 1;
-    let mut col_ok = vec![0u64; wn];
-    let mut col_cleans = vec![vec![0u64; wn]; owners.len()];
-    for w in w_lo..=w_hi {
-        let row_k = view.line_word(proc, kline, w);
-        let mut bits = rect_mask(w);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let h = w * 64 + b;
-            let mut cnt = view.col_count(proc, h);
-            if (row_k >> b) & 1 == 1 {
-                cnt -= 1;
-            }
-            if cnt > 0 {
-                col_ok[w - w_lo] |= 1u64 << b;
-            }
-            for (slot, &owner) in owners.iter().enumerate() {
-                if view.col_count(owner, h) == 1 {
-                    col_cleans[slot][w - w_lo] |= 1u64 << b;
-                }
-            }
-        }
-    }
-
-    // Sweep each owner's bit-plane words over the rectangle interior.
-    // Per owner the candidates still arrive in (g, h) lexicographic order
-    // — the order the per-cell scan produced — so every bucket's contents
-    // and cap truncation are unchanged.
-    let cap = m + 64;
-    let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
-        (0..owners.len()).map(|_| Default::default()).collect();
-    for g in (kline + 1)..=bottom {
-        let row_dirty = usize::from(!view.row_has(proc, g));
-        for (slot, &owner) in owners.iter().enumerate() {
-            let row_cleans = view.row_count(owner, g) == 1;
-            for w in w_lo..=w_hi {
-                let mut bits = view.line_word(owner, g, w) & rect_mask(w);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let cost = row_dirty + usize::from((col_ok[w - w_lo] >> b) & 1 == 0);
-                    let cleans = row_cleans || (col_cleans[slot][w - w_lo] >> b) & 1 == 1;
-                    let bucket = cost * 2 + usize::from(!cleans);
-                    let vec = &mut buckets[slot][bucket];
-                    if vec.len() < cap {
-                        vec.push((g, w * 64 + b));
-                    }
-                }
-            }
-        }
-    }
-    let owner_targets: Vec<Vec<(usize, usize)>> = buckets
-        .into_iter()
-        .map(|b| b.into_iter().flatten().collect())
-        .collect();
-    Some(NPrepared {
-        kline,
-        cleaned,
-        owners,
-        owner_targets,
-    })
+    let lines = targets::collect(view, proc, &owners)?;
+    Some(NPrepared { owners, lines })
 }
 
 /// Outcome of a successful [`n_attempt`].
@@ -350,10 +227,10 @@ fn n_attempt<G: NPushGrid>(
     prep: &NPrepared,
     voc_before: i64,
 ) -> Option<NAttemptOutcome> {
-    let kline = prep.kline;
-    let cleaned = &prep.cleaned;
+    let kline = prep.lines.line;
+    let cleaned = &prep.lines.cleaned;
     let owners = &prep.owners;
-    let owner_targets = &prep.owner_targets;
+    let owner_targets = &prep.lines.owner_targets;
     let m = cleaned.len();
 
     // Phase 2: assign an owner to each vacated position. A position is
@@ -628,6 +505,50 @@ impl NProbeView<'_> {
     }
 }
 
+impl LineGrid for NProbeView<'_> {
+    type Proc = u8;
+
+    #[inline]
+    fn row_has(&self, proc: u8, u: usize) -> bool {
+        self.row_count(proc, u) > 0
+    }
+
+    #[inline]
+    fn row_count(&self, proc: u8, u: usize) -> u32 {
+        let count = match self.canon_row_line(u) {
+            (i, Axis::Row) => self.row_count_real(proc, i),
+            (j, Axis::Col) => self.col_count_real(proc, j),
+        };
+        debug_assert!(count >= 0, "overlay drove a line count negative");
+        count as u32
+    }
+
+    #[inline]
+    fn col_count(&self, proc: u8, v: usize) -> u32 {
+        let count = match self.canon_col_line(v) {
+            (j, Axis::Col) => self.col_count_real(proc, j),
+            (i, Axis::Row) => self.row_count_real(proc, i),
+        };
+        debug_assert!(count >= 0, "overlay drove a line count negative");
+        count as u32
+    }
+
+    /// Answered from the base grid: the kernel only consults the rectangle
+    /// in [`n_prepare`], before any overlay swap (rolled-back attempts
+    /// leave only zero-net-effect identity entries).
+    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
+        let r = self.base.enclosing_rect(proc)?;
+        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
+    }
+
+    /// Bit-plane line words from the *base* grid — valid under the same
+    /// pre-swap contract as [`LineGrid::enclosing_rect`].
+    #[inline]
+    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
+        self.plane_line_word(proc, u, w)
+    }
+}
+
 impl NPushGrid for NProbeView<'_> {
     #[inline]
     fn get(&self, u: usize, v: usize) -> u8 {
@@ -648,41 +569,8 @@ impl NPushGrid for NProbeView<'_> {
     }
 
     #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        NPushGrid::row_count(self, proc, u) > 0
-    }
-
-    #[inline]
     fn col_has(&self, proc: u8, v: usize) -> bool {
-        NPushGrid::col_count(self, proc, v) > 0
-    }
-
-    #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        let count = match self.canon_col_line(v) {
-            (j, Axis::Col) => self.col_count_real(proc, j),
-            (i, Axis::Row) => self.row_count_real(proc, i),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        let count = match self.canon_row_line(u) {
-            (i, Axis::Row) => self.row_count_real(proc, i),
-            (j, Axis::Col) => self.col_count_real(proc, j),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    /// Answered from the base grid: the kernel only consults the rectangle
-    /// in [`n_prepare`], before any overlay swap (rolled-back attempts
-    /// leave only zero-net-effect identity entries).
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
-        let r = self.base.enclosing_rect(proc)?;
-        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
+        self.col_count(proc, v) > 0
     }
 
     #[inline]
@@ -690,13 +578,6 @@ impl NPushGrid for NProbeView<'_> {
         let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
         debug_assert!(units >= 0, "overlay drove voc_units negative");
         units as u64
-    }
-
-    /// Bit-plane line words from the *base* grid — valid under the same
-    /// pre-swap contract as [`NPushGrid::enclosing_rect`].
-    #[inline]
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
     }
 }
 
@@ -801,7 +682,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn push_never_raises_voc_k4() {
@@ -916,6 +797,89 @@ mod tests {
                 }
             }
             part.assert_invariants();
+        }
+    }
+
+    /// Cell-by-cell oracle for [`n_prepare`], written from the bucket
+    /// definition: scan the rectangle interior in `(g, h)` order, bucket
+    /// each displaced owner's cell by the active side's dirty cost and the
+    /// owner's cleaning bonus, and keep each bucket's first `m + 64`.
+    fn n_prepare_reference<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<Candidates> {
+        let (top, bottom, left, right) = view.enclosing_rect(proc)?;
+        if top == bottom {
+            return None;
+        }
+        let cleaned: Vec<usize> = (left..=right)
+            .filter(|&h| view.get(top, h) == proc)
+            .collect();
+        let cap = cleaned.len() + 64;
+        let owners: Vec<u8> = (0..k as u8).filter(|&p| p != proc).collect();
+        let mut buckets = vec![vec![Vec::new(); 6]; owners.len()];
+        for g in top + 1..=bottom {
+            for h in left..=right {
+                let owner = view.get(g, h);
+                let Some(slot) = owners.iter().position(|&o| o == owner) else {
+                    continue;
+                };
+                let col_ok = view.col_count(proc, h) > u32::from(view.get(top, h) == proc);
+                let cost = usize::from(!view.row_has(proc, g)) + usize::from(!col_ok);
+                let cleans = view.row_count(owner, g) == 1 || view.col_count(owner, h) == 1;
+                let bucket = &mut buckets[slot][cost * 2 + usize::from(!cleans)];
+                if bucket.len() < cap {
+                    bucket.push((g, h));
+                }
+            }
+        }
+        Some(Candidates {
+            line: top,
+            cleaned,
+            owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The word-parallel classifier behind `n_prepare` equals the
+        /// cell-by-cell oracle for every (pushable proc, direction), over
+        /// the mutable view and the probe overlay, for k = 3..=6 at sizes
+        /// around the 64-bit word boundaries — on full-grid random starts
+        /// and on partitions boxed into a sub-rectangle, whose edges fall
+        /// mid-word or inside a single word. At N ≥ 63 the buckets
+        /// overflow `cap`, so truncation is exercised too.
+        #[test]
+        fn n_prepare_matches_cell_oracle(seed in 0u64..1_000_000, k in 3usize..=6, size in 0usize..6) {
+            let n = [7, 63, 64, 65, 100, 130][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weights: Vec<u32> = (0..k).map(|i| 1 + 2 * (k - i) as u32).collect();
+            let part = if seed % 2 == 0 {
+                NPartition::random(n, &weights, &mut rng)
+            } else {
+                let top = rng.random_range(0..n);
+                let bottom = rng.random_range(top..n);
+                let left = rng.random_range(0..n);
+                let right = rng.random_range(left..n.min(left / 64 * 64 + 64 + 64 * (seed % 3) as usize));
+                let mut part = NPartition::new(n, k);
+                for i in top..=bottom {
+                    for j in left..=right {
+                        part.set(i, j, rng.random_range(0..k as u64) as u8);
+                    }
+                }
+                part
+            };
+            for proc in 1..k as u8 {
+                for dir in NDirection::ALL {
+                    let mut real = part.clone();
+                    let view = NView::new(&mut real, dir);
+                    let got = n_prepare(&view, proc, k).map(|p| p.lines);
+                    prop_assert_eq!(got, n_prepare_reference(&view, proc, k), "view: seed {} k {} n {} proc {} {:?}", seed, k, n, proc, dir);
+
+                    let mut scratch = NProbeScratch::default();
+                    let probe = NProbeView { base: &part, scratch: &mut scratch, dir, n };
+                    let got = n_prepare(&probe, proc, k).map(|p| p.lines);
+                    prop_assert_eq!(got, n_prepare_reference(&probe, proc, k), "probe: seed {} k {} n {} proc {} {:?}", seed, k, n, proc, dir);
+                }
+            }
         }
     }
 

@@ -17,6 +17,8 @@
 //! - [`op`]: directions, push types, and the atomic [`op::try_push`] /
 //!   [`op::try_push_any_type`] operations with exact ΔVoC accounting and
 //!   rollback,
+//! - [`targets`]: phase 1 of a push — the word-parallel candidate
+//!   classifier shared with the k-processor engine in `hetmmm-nproc`,
 //! - [`geom`]: the canonical-coordinate table and the
 //!   [`canonical_geometry!`] macro that generates it once per view type,
 //! - [`view`]: the direction-canonicalizing coordinate view that lets one
@@ -37,6 +39,7 @@ pub mod dfa;
 pub mod geom;
 pub mod op;
 pub mod probe;
+pub mod targets;
 pub mod view;
 
 pub use beautify::{beautify, is_condensed};

@@ -41,8 +41,9 @@
 //! this matches the paper's Types 3/4/6 which explicitly permit receiver
 //! dirtying within budget.
 
+use crate::targets::{self, Candidates, LineGrid};
 use crate::view::View;
-use hetmmm_partition::{Partition, Proc, Rect};
+use hetmmm_partition::{Partition, Proc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -212,7 +213,9 @@ pub struct AppliedPush {
     pub touched: [bool; 3],
 }
 
-/// Canonical-coordinate grid accessors the push kernel needs.
+/// Canonical-coordinate grid accessors the push kernel needs, on top of
+/// the line queries phase 1 shares with the k-processor engine
+/// ([`LineGrid`]).
 ///
 /// Two implementations share the kernel: the mutable [`View`] applies
 /// pushes to a real [`Partition`], and the read-only overlay
@@ -220,180 +223,26 @@ pub struct AppliedPush {
 /// mutating. One kernel deciding both is what makes
 /// [`crate::probe::push_feasible`] agree with [`try_push_any_type`] by
 /// construction — there is no second legality implementation to drift.
-///
-/// `enclosing_rect` is only ever consulted by [`prepare`], before any swap;
-/// overlay implementations may therefore answer it from their base grid.
-pub(crate) trait PushGrid {
+pub(crate) trait PushGrid: LineGrid<Proc = Proc> {
     /// Owner of canonical cell `(u, v)`.
     fn get(&self, u: usize, v: usize) -> Proc;
     /// Swap two canonical cells.
     fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical row `u` contain elements of `proc`?
-    fn row_has(&self, proc: Proc, u: usize) -> bool;
     /// Does canonical column `v` contain elements of `proc`?
     fn col_has(&self, proc: Proc, v: usize) -> bool;
-    /// Elements of `proc` in canonical row `u`.
-    fn row_count(&self, proc: Proc, u: usize) -> u32;
-    /// Elements of `proc` in canonical column `v`.
-    fn col_count(&self, proc: Proc, v: usize) -> u32;
-    /// Enclosing rectangle of `proc` in canonical coordinates.
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect>;
     /// VoC line units of the underlying grid.
     fn voc_units(&self) -> u64;
-    /// Word `w` of `proc`'s canonical-row-`u` bit-plane line: bit `b` is
-    /// set iff canonical cell `(u, w * 64 + b)` belongs to `proc`. Like
-    /// `enclosing_rect`, only consulted by [`prepare`] before any swap, so
-    /// overlay implementations may answer from their base grid.
-    fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64;
-}
-
-/// The type-independent part of a push attempt: the cleaned line and the
-/// per-owner candidate target lists (phase 1). None of it depends on the
-/// [`PushType`], so [`try_push_any_type`] and the feasibility probe compute
-/// it once and reuse it across all six type attempts.
-pub(crate) struct Prepared {
-    /// Canonical index of the cleaned line (`rect.top`).
-    k: usize,
-    /// Canonical columns of the active processor's elements in that line.
-    cleaned: Vec<usize>,
-    /// Candidate interior targets per displaced owner slot, best-first.
-    owner_targets: [Vec<(usize, usize)>; 2],
 }
 
 /// Phase 1 — locate the cleaned line and collect candidate interior
-/// targets per displaced owner. Returns `None` when no push of `proc` in
-/// this view's direction can exist at all (no elements, or a single-line
-/// enclosing rectangle that a push would be forced to enlarge).
-pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
-    let rect = view.enclosing_rect(proc)?;
-    if rect.height() <= 1 {
-        // No interior lines to receive the cleaned elements: the push would
-        // have to enlarge the enclosing rectangle, which is forbidden.
-        return None;
-    }
-    let k = rect.top;
-
-    // Word range and per-word masks covering canonical columns
-    // [rect.left, rect.right] of the bit-planes.
-    let w_lo = rect.left / 64;
-    let w_hi = rect.right / 64;
-    let lo_mask = !0u64 << (rect.left % 64);
-    let hi_mask = {
-        let r = rect.right % 64;
-        if r == 63 {
-            !0u64
-        } else {
-            (1u64 << (r + 1)) - 1
-        }
-    };
-    let rect_mask = |w: usize| -> u64 {
-        let mut m = !0u64;
-        if w == w_lo {
-            m &= lo_mask;
-        }
-        if w == w_hi {
-            m &= hi_mask;
-        }
-        m
-    };
-
-    // Elements of the active processor in the cleaned line, extracted
-    // word-wise from its bit-plane (ascending v, as before).
-    let mut cleaned: Vec<usize> = Vec::new();
-    for w in w_lo..=w_hi {
-        let mut bits = view.line_word(proc, k, w) & rect_mask(w);
-        while bits != 0 {
-            cleaned.push(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    debug_assert!(
-        !cleaned.is_empty(),
-        "edge line of enclosing rect must contain proc"
-    );
-    let m = cleaned.len();
-    let [o1, o2] = proc.others();
-
-    // Per-column facts are invariant during prepare (the grid is in its
-    // pre-push state throughout), so compute them once per rectangle width
-    // as bitmasks over the rect words instead of once per interior cell:
-    // `col_ok[w]` bit b — the active side's "column w*64+b already has X
-    // outside the cleaned line" predicate; `col_cleans[slot][w]` bit b —
-    // removing the owner's element empties the owner's column.
-    let wn = w_hi - w_lo + 1;
-    let mut col_ok = vec![0u64; wn];
-    let mut col_cleans = [vec![0u64; wn], vec![0u64; wn]];
-    for w in w_lo..=w_hi {
-        let row_k = view.line_word(proc, k, w);
-        let mut bits = rect_mask(w);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let h = w * 64 + b;
-            let mut cnt = view.col_count(proc, h);
-            if (row_k >> b) & 1 == 1 {
-                cnt -= 1;
-            }
-            if cnt > 0 {
-                col_ok[w - w_lo] |= 1u64 << b;
-            }
-            if view.col_count(o1, h) == 1 {
-                col_cleans[0][w - w_lo] |= 1u64 << b;
-            }
-            if view.col_count(o2, h) == 1 {
-                col_cleans[1][w - w_lo] |= 1u64 << b;
-            }
-        }
-    }
-
-    // Collect candidate interior targets per displaced owner.
-    //
-    // The paper's `find` scans the enclosing-rectangle interior row-major
-    // from (k+1, left). We sweep each owner's bit-plane words over the same
-    // interior instead — per owner the candidates still arrive in (g, h)
-    // lexicographic order, so every bucket receives the exact sequence the
-    // per-cell scan produced and cap truncation is unchanged.
-    //
-    // Bucket candidates per owner by (active-side dirty cost, cleaning
-    // bonus): landing the cleaned element where the active processor
-    // already has presence costs nothing; targets whose removal cleans
-    // one of the *owner's* lines reduce VoC further. Bucket order is
-    // the paper's Type-1-first preference made operational. Each
-    // bucket is capped — the matcher never needs more than `m` targets
-    // per owner plus slack for budget skips — keeping the memory O(m).
-    let cap = m + 64;
-    let mut buckets: [[Vec<(usize, usize)>; 6]; 2] = Default::default();
-    for g in (k + 1)..=rect.bottom {
-        let row_dirty = usize::from(!view.row_has(proc, g));
-        for (slot, owner) in [o1, o2].into_iter().enumerate() {
-            let row_cleans = view.row_count(owner, g) == 1;
-            for w in w_lo..=w_hi {
-                let mut bits = view.line_word(owner, g, w) & rect_mask(w);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let cost = row_dirty + usize::from((col_ok[w - w_lo] >> b) & 1 == 0);
-                    let cleans = row_cleans || (col_cleans[slot][w - w_lo] >> b) & 1 == 1;
-                    let bucket = cost * 2 + usize::from(!cleans);
-                    let vec = &mut buckets[slot][bucket];
-                    if vec.len() < cap {
-                        vec.push((g, w * 64 + b));
-                    }
-                }
-            }
-        }
-    }
-    let mut owner_targets: [Vec<(usize, usize)>; 2] = [Vec::new(), Vec::new()];
-    for slot in 0..2 {
-        for bucket in &buckets[slot] {
-            owner_targets[slot].extend(bucket.iter().copied());
-        }
-    }
-    Some(Prepared {
-        k,
-        cleaned,
-        owner_targets,
-    })
+/// targets for the two displaced owners ([`crate::targets::collect`]).
+/// None of it depends on the [`PushType`], so [`try_push_any_type`] and
+/// the feasibility probe compute it once and reuse it across all six type
+/// attempts. Returns `None` when no push of `proc` in this view's
+/// direction can exist at all (no elements, or a single-line enclosing
+/// rectangle that a push would be forced to enlarge).
+pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Candidates> {
+    targets::collect(view, proc, &proc.others())
 }
 
 /// Outcome of a successful [`attempt`].
@@ -413,10 +262,10 @@ pub(crate) fn attempt<G: PushGrid>(
     view: &mut G,
     proc: Proc,
     ty: PushType,
-    prep: &Prepared,
+    prep: &Candidates,
     voc_before: i64,
 ) -> Option<AttemptOutcome> {
-    let k = prep.k;
+    let k = prep.line;
     let cleaned = &prep.cleaned;
     let owner_targets = &prep.owner_targets;
     let active_side = ty.active_side();

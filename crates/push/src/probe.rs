@@ -26,8 +26,9 @@
 
 use crate::geom::Axis;
 use crate::op::{attempt, prepare, Direction, PushGrid, PushType};
+use crate::targets::LineGrid;
 use hetmmm_obs as obs;
-use hetmmm_partition::{Partition, Proc, Rect};
+use hetmmm_partition::{Partition, Proc};
 use std::cell::RefCell;
 
 /// Reusable overlay storage for one probe at a time. Cheap to keep around,
@@ -73,8 +74,23 @@ pub(crate) struct ProbeView<'a> {
     n: usize,
 }
 
-impl ProbeView<'_> {
+impl<'a> ProbeView<'a> {
     crate::canonical_geometry!(dir: crate::op::Direction, proc: Proc, base: base);
+
+    /// Overlay `scratch` onto `base`, canonicalized for pushing in `dir`.
+    pub(crate) fn new(
+        base: &'a Partition,
+        scratch: &'a mut ProbeScratch,
+        dir: Direction,
+    ) -> ProbeView<'a> {
+        let n = base.n();
+        ProbeView {
+            base,
+            scratch,
+            dir,
+            n,
+        }
+    }
 
     /// Owner of real cell `(i, j)`, overlay first.
     #[inline]
@@ -178,33 +194,12 @@ impl ProbeView<'_> {
     }
 }
 
-impl PushGrid for ProbeView<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> Proc {
-        let (i, j) = self.map(u, v);
-        self.get_real(i, j)
-    }
-
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.map(a.0, a.1);
-        let rb = self.map(b.0, b.1);
-        let pa = self.get_real(ra.0, ra.1);
-        let pb = self.get_real(rb.0, rb.1);
-        if pa == pb {
-            return;
-        }
-        self.set_real(ra.0, ra.1, pb);
-        self.set_real(rb.0, rb.1, pa);
-    }
+impl LineGrid for ProbeView<'_> {
+    type Proc = Proc;
 
     #[inline]
     fn row_has(&self, proc: Proc, u: usize) -> bool {
         self.row_count(proc, u) > 0
-    }
-
-    #[inline]
-    fn col_has(&self, proc: Proc, v: usize) -> bool {
-        self.col_count(proc, v) > 0
     }
 
     #[inline]
@@ -231,10 +226,41 @@ impl PushGrid for ProbeView<'_> {
     /// kernel only consults it in [`prepare`], before any overlay swap, so
     /// base and overlay agree whenever this is called (leftover identity
     /// entries from a rolled-back attempt have zero net occupancy effect).
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
+    fn enclosing_rect(&self, proc: Proc) -> Option<(usize, usize, usize, usize)> {
         let r = self.base.enclosing_rect(proc)?;
-        let (top, bottom, left, right) = self.canon_rect(r.top, r.bottom, r.left, r.right);
-        Some(Rect::new(top, bottom, left, right))
+        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
+    }
+
+    /// Bit-plane line words, answered from the *base* grid — valid under
+    /// the same pre-swap contract as [`LineGrid::enclosing_rect`].
+    #[inline]
+    fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
+        self.plane_line_word(proc, u, w)
+    }
+}
+
+impl PushGrid for ProbeView<'_> {
+    #[inline]
+    fn get(&self, u: usize, v: usize) -> Proc {
+        let (i, j) = self.map(u, v);
+        self.get_real(i, j)
+    }
+
+    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+        let ra = self.map(a.0, a.1);
+        let rb = self.map(b.0, b.1);
+        let pa = self.get_real(ra.0, ra.1);
+        let pb = self.get_real(rb.0, rb.1);
+        if pa == pb {
+            return;
+        }
+        self.set_real(ra.0, ra.1, pb);
+        self.set_real(rb.0, rb.1, pa);
+    }
+
+    #[inline]
+    fn col_has(&self, proc: Proc, v: usize) -> bool {
+        self.col_count(proc, v) > 0
     }
 
     #[inline]
@@ -242,13 +268,6 @@ impl PushGrid for ProbeView<'_> {
         let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
         debug_assert!(units >= 0, "overlay drove voc_units negative");
         units as u64
-    }
-
-    /// Bit-plane line words, answered from the *base* grid — valid under
-    /// the same pre-swap contract as [`PushGrid::enclosing_rect`].
-    #[inline]
-    fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
     }
 }
 
@@ -268,12 +287,7 @@ pub(crate) fn push_feasible_with(
     }
     scratch.reset();
     let voc_before = part.voc_units() as i64;
-    let mut view = ProbeView {
-        base: part,
-        scratch,
-        dir,
-        n: part.n(),
-    };
+    let mut view = ProbeView::new(part, scratch, dir);
     let Some(prep) = prepare(&view, proc) else {
         return false;
     };

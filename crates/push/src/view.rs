@@ -13,13 +13,15 @@
 //! lines parallel to it, so the occupancy predicates of the six push types
 //! translate directly — and because within-line bit order is
 //! direction-independent, the partition's bit-plane words are served to the
-//! push kernel verbatim via [`crate::op::PushGrid::line_word`].
+//! push kernel verbatim via [`crate::targets::LineGrid::line_word`].
 
 use crate::geom::Axis;
-use crate::op::Direction;
-use hetmmm_partition::{Partition, Proc, Rect};
+use crate::op::{Direction, PushGrid};
+use crate::targets::LineGrid;
+use hetmmm_partition::{Partition, Proc};
 
-/// A mutable, direction-canonicalized window onto a partition.
+/// A mutable, direction-canonicalized window onto a partition. The push
+/// kernel sees it through the same traits as the read-only probe overlay.
 pub struct View<'a> {
     part: &'a mut Partition,
     dir: Direction,
@@ -34,128 +36,78 @@ impl<'a> View<'a> {
         let n = part.n();
         View { part, dir, n }
     }
-
-    /// Matrix dimension.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Owner of canonical cell `(u, v)`.
-    #[inline]
-    pub fn get(&self, u: usize, v: usize) -> Proc {
-        let (i, j) = self.map(u, v);
-        self.part.get(i, j)
-    }
-
-    /// Swap two canonical cells on the underlying grid.
-    #[inline]
-    pub fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.map(a.0, a.1);
-        let rb = self.map(b.0, b.1);
-        self.part.swap(ra, rb);
-    }
-
-    /// Does canonical row `u` contain elements of `proc`?
-    #[inline]
-    pub fn row_has(&self, proc: Proc, u: usize) -> bool {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_has(proc, i),
-            (j, Axis::Col) => self.part.col_has(proc, j),
-        }
-    }
-
-    /// Does canonical column `v` contain elements of `proc`?
-    #[inline]
-    pub fn col_has(&self, proc: Proc, v: usize) -> bool {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_has(proc, j),
-            (i, Axis::Row) => self.part.row_has(proc, i),
-        }
-    }
-
-    /// Elements of `proc` in canonical row `u`.
-    #[inline]
-    pub fn row_count(&self, proc: Proc, u: usize) -> u32 {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_count(proc, i),
-            (j, Axis::Col) => self.part.col_count(proc, j),
-        }
-    }
-
-    /// Elements of `proc` in canonical column `v`.
-    #[inline]
-    pub fn col_count(&self, proc: Proc, v: usize) -> u32 {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_count(proc, j),
-            (i, Axis::Row) => self.part.row_count(proc, i),
-        }
-    }
-
-    /// Enclosing rectangle of `proc` in canonical coordinates.
-    pub fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
-        let r = self.part.enclosing_rect(proc)?;
-        let (top, bottom, left, right) = self.canon_rect(r.top, r.bottom, r.left, r.right);
-        Some(Rect::new(top, bottom, left, right))
-    }
-
-    /// VoC line units of the underlying partition (direction-independent).
-    #[inline]
-    pub fn voc_units(&self) -> u64 {
-        self.part.voc_units()
-    }
-
-    /// Immutable access to the wrapped partition.
-    #[inline]
-    pub fn partition(&self) -> &Partition {
-        self.part
-    }
 }
 
-/// The push kernel sees a mutable `View` through the same trait as the
-/// read-only probe overlay — pure delegation to the inherent methods.
-impl crate::op::PushGrid for View<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> Proc {
-        View::get(self, u, v)
-    }
-    #[inline]
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        View::swap(self, a, b)
-    }
+impl LineGrid for View<'_> {
+    type Proc = Proc;
+
     #[inline]
     fn row_has(&self, proc: Proc, u: usize) -> bool {
-        View::row_has(self, proc, u)
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_has(proc, i),
+            (j, Axis::Col) => self.part.col_has(proc, j),
+        }
     }
-    #[inline]
-    fn col_has(&self, proc: Proc, v: usize) -> bool {
-        View::col_has(self, proc, v)
-    }
+
     #[inline]
     fn row_count(&self, proc: Proc, u: usize) -> u32 {
-        View::row_count(self, proc, u)
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_count(proc, i),
+            (j, Axis::Col) => self.part.col_count(proc, j),
+        }
     }
+
     #[inline]
     fn col_count(&self, proc: Proc, v: usize) -> u32 {
-        View::col_count(self, proc, v)
+        match self.canon_col_line(v) {
+            (j, Axis::Col) => self.part.col_count(proc, j),
+            (i, Axis::Row) => self.part.row_count(proc, i),
+        }
     }
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
-        View::enclosing_rect(self, proc)
+
+    fn enclosing_rect(&self, proc: Proc) -> Option<(usize, usize, usize, usize)> {
+        let r = self.part.enclosing_rect(proc)?;
+        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
     }
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        View::voc_units(self)
-    }
+
     #[inline]
     fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
         self.plane_line_word(proc, u, w)
     }
 }
 
+impl PushGrid for View<'_> {
+    #[inline]
+    fn get(&self, u: usize, v: usize) -> Proc {
+        let (i, j) = self.map(u, v);
+        self.part.get(i, j)
+    }
+
+    #[inline]
+    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+        let ra = self.map(a.0, a.1);
+        let rb = self.map(b.0, b.1);
+        self.part.swap(ra, rb);
+    }
+
+    #[inline]
+    fn col_has(&self, proc: Proc, v: usize) -> bool {
+        match self.canon_col_line(v) {
+            (j, Axis::Col) => self.part.col_has(proc, j),
+            (i, Axis::Row) => self.part.row_has(proc, i),
+        }
+    }
+
+    #[inline]
+    fn voc_units(&self) -> u64 {
+        self.part.voc_units()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmmm_partition::PartitionBuilder;
+    use hetmmm_partition::{PartitionBuilder, Rect};
 
     fn sample() -> Partition {
         // 5x5, R at (1,2), S block rows 3..=4 cols 0..=1.
@@ -185,7 +137,7 @@ mod tests {
         let mut part = sample();
         let view = View::new(&mut part, Direction::Down);
         assert_eq!(view.get(1, 2), Proc::R);
-        assert_eq!(view.enclosing_rect(Proc::S), Some(Rect::new(3, 4, 0, 1)));
+        assert_eq!(view.enclosing_rect(Proc::S), Some((3, 4, 0, 1)));
         assert!(view.row_has(Proc::R, 1));
         assert!(view.col_has(Proc::R, 2));
     }
@@ -197,7 +149,7 @@ mod tests {
         // Real row 1 is canonical row 3 when n = 5.
         assert_eq!(view.get(3, 2), Proc::R);
         // S rows 3..=4 become canonical rows 0..=1.
-        assert_eq!(view.enclosing_rect(Proc::S), Some(Rect::new(0, 1, 0, 1)));
+        assert_eq!(view.enclosing_rect(Proc::S), Some((0, 1, 0, 1)));
     }
 
     #[test]
@@ -207,7 +159,7 @@ mod tests {
         // Real (1, 2) appears at canonical (2, 1).
         assert_eq!(view.get(2, 1), Proc::R);
         // S real rows 3..=4 / cols 0..=1 -> canonical rows 0..=1 / cols 3..=4.
-        assert_eq!(view.enclosing_rect(Proc::S), Some(Rect::new(0, 1, 3, 4)));
+        assert_eq!(view.enclosing_rect(Proc::S), Some((0, 1, 3, 4)));
         assert!(view.row_has(Proc::S, 0)); // real col 0 has S
         assert!(view.col_has(Proc::S, 3)); // real row 3 has S
     }
@@ -219,7 +171,7 @@ mod tests {
         // Real (1, 2): canonical u = n-1-j = 2, v = i = 1.
         assert_eq!(view.get(2, 1), Proc::R);
         // S cols 0..=1 -> canonical rows 3..=4; S rows 3..=4 -> canonical cols 3..=4.
-        assert_eq!(view.enclosing_rect(Proc::S), Some(Rect::new(3, 4, 3, 4)));
+        assert_eq!(view.enclosing_rect(Proc::S), Some((3, 4, 3, 4)));
     }
 
     #[test]

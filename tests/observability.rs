@@ -359,6 +359,9 @@ fn manifest_embeds_metrics_and_round_trips() {
 
 #[test]
 fn stats_types_round_trip_for_manifest_embedding() {
+    // The nproc run below emits spans; holding the lock keeps them out of
+    // the sinks other tests install.
+    let _guard = test_lock();
     // ExecStats / RecoveryStats / ProcExec and the nproc stats types are
     // embedded in artifacts; their serde round-trips must be lossless.
     let stats = {

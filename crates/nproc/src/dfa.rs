@@ -1,8 +1,8 @@
 //! The randomized search, generalized to `k` processors.
 
-use crate::grid::NPartition;
-use crate::push::{try_push_n, NDirection, NProbeCache};
 use hetmmm_obs as obs;
+use hetmmm_partition::NPartition;
+use hetmmm_push::{try_push_n, Direction, ProbeCache, RuleLayer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -75,10 +75,10 @@ impl NDfaRunner {
         let mut part = NPartition::random(self.config.n, &self.config.weights, &mut rng);
 
         // Random plan: 1-4 directions for each pushable processor.
-        let mut entries: Vec<(u8, NDirection)> = Vec::new();
+        let mut entries: Vec<(u8, Direction)> = Vec::new();
         for proc in 1..k as u8 {
             let count = rng.random_range(1..=4usize);
-            let mut dirs = NDirection::ALL;
+            let mut dirs = Direction::ALL;
             dirs.shuffle(&mut rng);
             for &dir in dirs.iter().take(count) {
                 entries.push((proc, dir));
@@ -97,7 +97,7 @@ impl NDfaRunner {
         // skips the attempt entirely; since a failed `try_push_n` changes
         // no state and consumes no randomness, the skip leaves the seeded
         // run bit-identical to the uncached search.
-        let mut probes = NProbeCache::new(k);
+        let mut probes = ProbeCache::new(k, RuleLayer::Modes);
 
         'outer: loop {
             order.shuffle(&mut rng);

@@ -5,15 +5,12 @@
 //! the three processor case. It can easily be adapted to form partition
 //! shapes for any number of processors." — this crate is that adaptation.
 //!
-//! Everything is generalized from the fixed three-processor machinery of
-//! the main crates to `k ≥ 2` processors:
+//! The grid and the push are the ones the three-processor search uses:
+//! [`NPartition`] is the workspace's one plane store (from
+//! `hetmmm-partition`, where `Partition` is its three-owner form), and the
+//! k-processor push is a rule layer of `hetmmm-push` ([`push`] re-exports
+//! it). This crate adds what is specific to `k ≥ 2` processors:
 //!
-//! - [`grid::NPartition`]: the `q(i,j) ∈ {0..k-1}` grid with the same
-//!   incremental VoC / occupancy / Zobrist accounting,
-//! - [`push`]: the Push operation with `k − 1` possible displaced owners
-//!   (the three-processor select-and-match generalizes directly: bucket
-//!   interior targets per owner, assign owners to vacated positions,
-//!   commit under the exact ΔVoC contract),
 //! - [`dfa`]: the randomized search with per-processor direction plans and
 //!   neutral-cycle detection,
 //! - [`stats`]: shape descriptors for the outcomes — per-processor
@@ -31,11 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod dfa;
-pub mod grid;
 pub mod push;
 pub mod stats;
 
 pub use dfa::{NDfaConfig, NDfaOutcome, NDfaRunner};
-pub use grid::NPartition;
+pub use hetmmm_partition::NPartition;
 pub use push::{push_feasible_n, try_push_n, NDirection, PushMode};
 pub use stats::{OutcomeStats, ProcShapeStats};

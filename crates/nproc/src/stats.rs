@@ -7,7 +7,7 @@
 //! per-processor rectangularity (fill ratio of the enclosing rectangle),
 //! corner counts, and the pairwise enclosing-rectangle overlap matrix.
 
-use crate::grid::NPartition;
+use hetmmm_partition::NPartition;
 use serde::{Deserialize, Serialize};
 
 /// Shape descriptors of one processor's region.

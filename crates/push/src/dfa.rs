@@ -15,7 +15,7 @@
 //! processors" of a cluster for the same reason.
 
 use crate::op::{try_push_any_type, Direction, PushType};
-use crate::probe::ProbeCache;
+use crate::probe::{ProbeCache, RuleLayer};
 use hetmmm_error::{HetmmmError, NonConvergence};
 use hetmmm_obs as obs;
 use hetmmm_partition::{random_partition, Partition, Proc, Ratio};
@@ -251,7 +251,7 @@ impl DfaRunner {
         // the hash still matches, re-running `try_push_any_type` is provably
         // a no-op — skip it and emit the same rejection event. No RNG is
         // consumed either way, so seeded runs are bit-identical.
-        let mut probes = ProbeCache::default();
+        let mut probes = ProbeCache::new(Proc::ALL.len(), RuleLayer::Types);
         // Sorted copy of the requested snapshot steps: one binary search
         // per applied step instead of three linear scans.
         let snapshot_at = {
@@ -271,7 +271,7 @@ impl DfaRunner {
             for &idx in &order {
                 let (proc, dir) = plan.entries[idx];
                 let hash = part.state_hash();
-                if probes.lookup(hash, proc, dir) == Some(false) {
+                if probes.lookup(hash, proc.q(), dir) == Some(false) {
                     if obs::enabled() {
                         obs::emit(obs::EventKind::DfaPushRejected {
                             proc: proc.to_string(),
@@ -281,7 +281,7 @@ impl DfaRunner {
                     continue;
                 }
                 if let Some(applied) = try_push_any_type(&mut part, proc, dir) {
-                    probes.evict_touched(&applied.touched);
+                    probes.evict_touched(applied.touched_mask);
                     steps += 1;
                     progressed = true;
                     pushes_by_type[type_index(applied.ty)] += 1;
@@ -327,7 +327,7 @@ impl DfaRunner {
                     }
                     break; // re-randomize the interleaving after each push
                 } else {
-                    probes.record(hash, proc, dir, false);
+                    probes.record(hash, proc.q(), dir, false);
                     if obs::enabled() {
                         obs::emit(obs::EventKind::DfaPushRejected {
                             proc: proc.to_string(),
@@ -350,7 +350,7 @@ impl DfaRunner {
         let residual_pushes: Vec<(Proc, Direction)> = Proc::PUSHABLE
             .into_iter()
             .flat_map(|p| Direction::ALL.into_iter().map(move |d| (p, d)))
-            .filter(|&(p, d)| probes.probe(&part, p, d))
+            .filter(|&(p, d)| probes.probe(part.grid(), p.q(), d))
             .collect();
 
         let voc_final = part.voc();

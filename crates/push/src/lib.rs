@@ -1,8 +1,8 @@
 //! # hetmmm-push
 //!
-//! The three-processor **Push** operation and the DFA search engine — the
-//! primary contribution of DeFlumere & Lastovetsky (HCW/IPDPS-W 2014),
-//! Sections IV–VI.
+//! The **Push** operation and the DFA search engine — the primary
+//! contribution of DeFlumere & Lastovetsky (HCW/IPDPS-W 2014), Sections
+//! IV–VI — with the paper's k-processor generalization beside it.
 //!
 //! A *Push* is an atomic transformation of a partition `q` into `q₁` that
 //! cleans one edge line of the active processor's enclosing rectangle and is
@@ -13,19 +13,25 @@
 //! transition function is the Push (Section V). Running the DFA from random
 //! start states to a fixed point yields the candidate optimal shapes.
 //!
+//! One push engine serves two rule layers over the one plane store,
+//! [`NPartition`](hetmmm_partition::NPartition): the six types on three
+//! processors ([`op`]), and three strictness modes on `k` ([`modes`]).
+//! Phase 1 (the cleaned line and the candidate targets), phase 3 (pairing,
+//! swaps and the ΔVoC contract), the two grid views and the probe overlay
+//! are shared; only phase 2, which assigns displaced owners, differs.
+//!
 //! Modules:
-//! - [`op`]: directions, push types, and the atomic [`op::try_push`] /
-//!   [`op::try_push_any_type`] operations with exact ΔVoC accounting and
-//!   rollback,
-//! - [`targets`]: phase 1 of a push — the word-parallel candidate
-//!   classifier shared with the k-processor engine in `hetmmm-nproc`,
-//! - [`geom`]: the canonical-coordinate table and the
-//!   [`canonical_geometry!`] macro that generates it once per view type,
-//! - [`view`]: the direction-canonicalizing coordinate view that lets one
-//!   implementation serve ↓, ↑, ← and →,
-//! - [`probe`]: clone-free feasibility probes ([`probe::push_feasible`])
-//!   answered by the same kernel through a read-only overlay, plus the
-//!   hash-verified per-run verdict cache the DFA uses,
+//! - [`op`]: directions, push types, the shared phase 3, and the atomic
+//!   [`op::try_push`] / [`op::try_push_any_type`] operations with exact
+//!   ΔVoC accounting and rollback,
+//! - [`modes`]: the k-processor rule layer ([`try_push_n`]),
+//! - `targets`: phase 1 of a push — the word-parallel candidate classifier,
+//! - `view`: the canonical frame that lets one implementation serve ↓, ↑,
+//!   ← and →, and the mutable grid view,
+//! - [`probe`]: clone-free feasibility probes ([`push_feasible`],
+//!   [`push_feasible_n`]) answered by the same kernel through a read-only
+//!   overlay, plus the hash-verified per-run verdict cache both searches
+//!   use ([`ProbeCache`]),
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
 //!   sets, random interleaving) with snapshot support (Fig. 7),
 //! - [`beautify`]: exhaustive condensation in *all* directions, used to
@@ -36,13 +42,14 @@
 
 pub mod beautify;
 pub mod dfa;
-pub mod geom;
+pub mod modes;
 pub mod op;
 pub mod probe;
-pub mod targets;
-pub mod view;
+mod targets;
+mod view;
 
 pub use beautify::{beautify, is_condensed};
 pub use dfa::{DfaConfig, DfaOutcome, DfaRunner, PushPlan, Termination};
+pub use modes::{try_push_mode, try_push_n, NAppliedPush, PushMode};
 pub use op::{try_push, try_push_any_type, AppliedPush, Direction, PushType};
-pub use probe::push_feasible;
+pub use probe::{push_feasible, push_feasible_n, ProbeCache, RuleLayer};

@@ -1,8 +1,8 @@
 //! Phase 1 of a push — the cleaned line and the bucketed candidate
-//! targets — shared by the three-processor engine (`op::prepare`) and the
-//! k-processor engine in `hetmmm-nproc`.
+//! targets — shared by both rule layers: the paper's six push types
+//! ([`crate::op`]) and the k-processor modes ([`crate::modes`]).
 //!
-//! Both engines clean the canonical top row `k` of the active processor's
+//! Both layers clean the canonical top row `k` of the active processor's
 //! enclosing rectangle and refill it from the rectangle interior. Every
 //! interior cell of a displaced owner is a candidate target, bucketed by
 //! two facts (DESIGN.md §15):
@@ -28,42 +28,58 @@
 //! only from buckets still below `cap`, skips words that can add nothing,
 //! and stops as soon as every bucket of every owner is full.
 
-/// The line-level, canonical-coordinate queries phase 1 needs. The push
-/// kernels' grid traits extend it, so the views of both engines feed
+/// The line-level, canonical-coordinate queries phase 1 needs, over owner
+/// ids `u8`. The push kernel's grid trait extends it, so both views feed
 /// [`collect`] directly.
 ///
 /// [`LineGrid::enclosing_rect`] and [`LineGrid::line_word`] are only
 /// consulted before any swap; overlay views may answer them from their
 /// base grid.
-pub trait LineGrid {
-    /// Processor identifier of the underlying grid.
-    type Proc: Copy;
-    /// Does canonical row `u` contain elements of `proc`?
-    fn row_has(&self, proc: Self::Proc, u: usize) -> bool;
+pub(crate) trait LineGrid {
     /// Elements of `proc` in canonical row `u`.
-    fn row_count(&self, proc: Self::Proc, u: usize) -> u32;
+    fn row_count(&self, proc: u8, u: usize) -> u32;
     /// Elements of `proc` in canonical column `v`.
-    fn col_count(&self, proc: Self::Proc, v: usize) -> u32;
+    fn col_count(&self, proc: u8, v: usize) -> u32;
     /// Enclosing rectangle `(top, bottom, left, right)` of `proc` in
     /// canonical coordinates.
-    fn enclosing_rect(&self, proc: Self::Proc) -> Option<(usize, usize, usize, usize)>;
+    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)>;
     /// Word `w` of `proc`'s canonical-row-`u` bit-plane line: bit `b` is
     /// set iff canonical cell `(u, w * 64 + b)` belongs to `proc`.
-    fn line_word(&self, proc: Self::Proc, u: usize, w: usize) -> u64;
+    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64;
+    /// Does canonical row `u` contain elements of `proc`?
+    fn row_has(&self, proc: u8, u: usize) -> bool {
+        self.row_count(proc, u) > 0
+    }
+    /// Does canonical column `v` contain elements of `proc`?
+    fn col_has(&self, proc: u8, v: usize) -> bool {
+        self.col_count(proc, v) > 0
+    }
 }
 
 /// The type-independent result of phase 1, reused by every type (or mode)
 /// attempt of one push.
 #[derive(Debug, PartialEq, Eq)]
-pub struct Candidates {
+pub(crate) struct Candidates {
     /// Canonical index of the cleaned line (the rectangle's top row).
-    pub line: usize,
+    pub(crate) line: usize,
     /// Canonical columns of the active processor's elements in that line,
     /// ascending.
-    pub cleaned: Vec<usize>,
+    pub(crate) cleaned: Vec<usize>,
+    /// The displaced owners, in slot order.
+    pub(crate) owners: Vec<u8>,
     /// Candidate interior targets per displaced owner slot, best bucket
     /// first, `(g, h)` order within a bucket.
-    pub owner_targets: Vec<Vec<(usize, usize)>>,
+    pub(crate) owner_targets: Vec<Vec<(usize, usize)>>,
+}
+
+/// Phase 1 of a push of `proc` on a `k`-owner grid: every other owner is
+/// a displaced owner, in ascending order (with three processors, that is
+/// [`hetmmm_partition::Proc::others`] in `q` order). `None` when no push
+/// of `proc` in this view's direction can exist at all (no elements, or a
+/// single-line enclosing rectangle that a push would be forced to
+/// enlarge).
+pub(crate) fn prepare<G: LineGrid>(grid: &G, proc: u8, k: usize) -> Option<Candidates> {
+    collect(grid, proc, (0..k as u8).filter(|&p| p != proc).collect())
 }
 
 /// Column window `[left, right]` over the bit-plane words `w_lo..=w_hi`.
@@ -119,7 +135,7 @@ struct Setup {
 
 /// The [`Setup`] of a push of `proc`; `None` when `proc` has no elements
 /// or a single-line rectangle (a push would have to enlarge it).
-fn setup<G: LineGrid>(grid: &G, proc: G::Proc, owners: &[G::Proc]) -> Option<Setup> {
+fn setup<G: LineGrid>(grid: &G, proc: u8, owners: &[u8]) -> Option<Setup> {
     let (top, bottom, left, right) = grid.enclosing_rect(proc)?;
     if bottom == top {
         return None;
@@ -179,8 +195,8 @@ fn setup<G: LineGrid>(grid: &G, proc: G::Proc, owners: &[G::Proc]) -> Option<Set
 /// below `cap`. Per bucket, candidates arrive in `(g, h)` order exactly as
 /// a cell-by-cell scan would deliver them, so each bucket keeps the same
 /// first `cap` entries.
-pub fn collect<G: LineGrid>(grid: &G, proc: G::Proc, owners: &[G::Proc]) -> Option<Candidates> {
-    let s = setup(grid, proc, owners)?;
+pub(crate) fn collect<G: LineGrid>(grid: &G, proc: u8, owners: Vec<u8>) -> Option<Candidates> {
+    let s = setup(grid, proc, &owners)?;
     let cap = s.cleaned.len() + 64;
     let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
         owners.iter().map(|_| Default::default()).collect();
@@ -250,6 +266,7 @@ pub fn collect<G: LineGrid>(grid: &G, proc: G::Proc, owners: &[G::Proc]) -> Opti
     Some(Candidates {
         line: s.line,
         cleaned: s.cleaned,
+        owners,
         owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
     })
 }
@@ -277,10 +294,10 @@ fn nonempty(masks: [u64; 4]) -> u8 {
 #[cfg(test)]
 pub(crate) fn collect_reference<G: LineGrid>(
     grid: &G,
-    proc: G::Proc,
-    owners: &[G::Proc],
+    proc: u8,
+    owners: Vec<u8>,
 ) -> Option<Candidates> {
-    let s = setup(grid, proc, owners)?;
+    let s = setup(grid, proc, &owners)?;
     let cap = s.cleaned.len() + 64;
     let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
         owners.iter().map(|_| Default::default()).collect();
@@ -307,6 +324,7 @@ pub(crate) fn collect_reference<G: LineGrid>(
     Some(Candidates {
         line: s.line,
         cleaned: s.cleaned,
+        owners,
         owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
     })
 }
@@ -317,7 +335,7 @@ mod tests {
     use crate::op::{Direction, PushGrid};
     use crate::probe::{ProbeScratch, ProbeView};
     use crate::view::View;
-    use hetmmm_partition::{random_partition, Partition, Proc, Ratio};
+    use hetmmm_partition::{random_partition, NPartition, Partition, Proc, Ratio};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -356,13 +374,13 @@ mod tests {
     /// and over a probe overlay that already holds a few swaps.
     fn check_all(part: &Partition, seed: u64) {
         for proc in Proc::PUSHABLE {
-            let owners = proc.others();
+            let (p, owners) = (proc.q(), proc.others().map(Proc::q));
             for dir in Direction::ALL {
                 let mut real = part.clone();
-                let view = View::new(&mut real, dir);
+                let view = View::new(real.grid_mut(), dir);
                 prop_assert_eq!(
-                    collect(&view, proc, &owners),
-                    collect_reference(&view, proc, &owners),
+                    collect(&view, p, owners.to_vec()),
+                    collect_reference(&view, p, owners.to_vec()),
                     "view: seed {} {} {}",
                     seed,
                     proc,
@@ -370,7 +388,7 @@ mod tests {
                 );
 
                 let mut scratch = ProbeScratch::default();
-                let mut probe = ProbeView::new(part, &mut scratch, dir);
+                let mut probe = ProbeView::new(part.grid(), &mut scratch, dir);
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
                 let n = part.n();
                 for _ in 0..3 {
@@ -379,8 +397,8 @@ mod tests {
                     probe.swap(a, b);
                 }
                 prop_assert_eq!(
-                    collect(&probe, proc, &owners),
-                    collect_reference(&probe, proc, &owners),
+                    collect(&probe, p, owners.to_vec()),
+                    collect_reference(&probe, p, owners.to_vec()),
                     "probe overlay: seed {} {} {}",
                     seed,
                     proc,
@@ -417,7 +435,6 @@ mod tests {
     }
 
     impl LineGrid for Dense {
-        type Proc = u8;
         fn row_has(&self, proc: u8, u: usize) -> bool {
             proc != 0 || u % 3 != 0
         }
@@ -456,11 +473,11 @@ mod tests {
     fn sweep_stops_only_when_every_owner_is_full() {
         let grid = Dense { n: 130 };
         let owners = [1u8, 2, 5];
-        let got = collect(&grid, 0, &owners).expect("a 130-line rect");
+        let got = collect(&grid, 0, owners.to_vec()).expect("a 130-line rect");
         for targets in &got.owner_targets {
             assert_eq!(targets.len(), 6 * 65, "every bucket full");
         }
-        assert_eq!(Some(got), collect_reference(&grid, 0, &owners));
+        assert_eq!(Some(got), collect_reference(&grid, 0, owners.to_vec()));
     }
 
     /// At N = 130 every owner has far more interior cells than
@@ -470,9 +487,9 @@ mod tests {
     fn cap_truncation_matches_oracle() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut part = random_partition(130, Ratio::new(2, 1, 1), &mut rng);
-        let view = View::new(&mut part, Direction::Down);
-        let owners = Proc::R.others();
-        let got = collect(&view, Proc::R, &owners).expect("R has a 2-line rect");
+        let view = View::new(part.grid_mut(), Direction::Down);
+        let owners = Proc::R.others().map(Proc::q);
+        let got = collect(&view, Proc::R.q(), owners.to_vec()).expect("R has a 2-line rect");
         let cap = got.cleaned.len() + 64;
         for (slot, &owner) in owners.iter().enumerate() {
             let interior = (got.line + 1..130)
@@ -484,6 +501,91 @@ mod tests {
             );
             assert!(got.owner_targets[slot].len() <= 6 * cap);
         }
-        assert_eq!(Some(got), collect_reference(&view, Proc::R, &owners));
+        assert_eq!(
+            Some(got),
+            collect_reference(&view, Proc::R.q(), owners.to_vec())
+        );
+    }
+
+    /// Cell-by-cell oracle for [`prepare`], written from the bucket
+    /// definition: scan the rectangle interior in `(g, h)` order, bucket
+    /// each displaced owner's cell by the active side's dirty cost and the
+    /// owner's cleaning bonus, and keep each bucket's first `m + 64`.
+    fn prepare_reference<G: PushGrid>(view: &G, proc: u8, k: usize) -> Option<Candidates> {
+        let (top, bottom, left, right) = view.enclosing_rect(proc)?;
+        if top == bottom {
+            return None;
+        }
+        let cleaned: Vec<usize> = (left..=right)
+            .filter(|&h| view.get(top, h) == proc)
+            .collect();
+        let cap = cleaned.len() + 64;
+        let owners: Vec<u8> = (0..k as u8).filter(|&p| p != proc).collect();
+        let mut buckets = vec![vec![Vec::new(); 6]; owners.len()];
+        for g in top + 1..=bottom {
+            for h in left..=right {
+                let owner = view.get(g, h);
+                let Some(slot) = owners.iter().position(|&o| o == owner) else {
+                    continue;
+                };
+                let col_ok = view.col_count(proc, h) > u32::from(view.get(top, h) == proc);
+                let cost = usize::from(!view.row_has(proc, g)) + usize::from(!col_ok);
+                let cleans = view.row_count(owner, g) == 1 || view.col_count(owner, h) == 1;
+                let bucket = &mut buckets[slot][cost * 2 + usize::from(!cleans)];
+                if bucket.len() < cap {
+                    bucket.push((g, h));
+                }
+            }
+        }
+        Some(Candidates {
+            line: top,
+            cleaned,
+            owners,
+            owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The word-parallel classifier behind `prepare` equals the
+        /// cell-by-cell oracle for every (pushable proc, direction), over
+        /// the mutable view and the probe overlay, for k = 3..=6 at sizes
+        /// around the 64-bit word boundaries — on full-grid random starts
+        /// and on partitions boxed into a sub-rectangle, whose edges fall
+        /// mid-word or inside a single word. At N ≥ 63 the buckets
+        /// overflow `cap`, so truncation is exercised too.
+        #[test]
+        fn n_prepare_matches_cell_oracle(seed in 0u64..1_000_000, k in 3usize..=6, size in 0usize..6) {
+            let n = [7, 63, 64, 65, 100, 130][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weights: Vec<u32> = (0..k).map(|i| 1 + 2 * (k - i) as u32).collect();
+            let part = if seed % 2 == 0 {
+                NPartition::random(n, &weights, &mut rng)
+            } else {
+                let top = rng.random_range(0..n);
+                let bottom = rng.random_range(top..n);
+                let left = rng.random_range(0..n);
+                let right = rng.random_range(left..n.min(left / 64 * 64 + 64 + 64 * (seed % 3) as usize));
+                let mut part = NPartition::new(n, k);
+                for i in top..=bottom {
+                    for j in left..=right {
+                        part.set(i, j, rng.random_range(0..k as u64) as u8);
+                    }
+                }
+                part
+            };
+            for proc in 1..k as u8 {
+                for dir in Direction::ALL {
+                    let mut real = part.clone();
+                    let view = View::new(&mut real, dir);
+                    prop_assert_eq!(prepare(&view, proc, k), prepare_reference(&view, proc, k), "view: seed {} k {} n {} proc {} {:?}", seed, k, n, proc, dir);
+
+                    let mut scratch = ProbeScratch::default();
+                    let probe = ProbeView::new(&part, &mut scratch, dir);
+                    prop_assert_eq!(prepare(&probe, proc, k), prepare_reference(&probe, proc, k), "probe: seed {} k {} n {} proc {} {:?}", seed, k, n, proc, dir);
+                }
+            }
+        }
     }
 }

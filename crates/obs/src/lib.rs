@@ -311,7 +311,7 @@ pub fn message(target: &str, text: impl Into<String>) {
 
 /// Like [`message`], but falls back to standard output when no sink is
 /// installed. For output that is the *product* of a binary-adjacent
-/// library (e.g. the criterion shim's report lines) and must stay visible
+/// library (e.g. the bench binaries' result tables) and must stay visible
 /// without setup.
 pub fn message_or_stdout(target: &str, text: impl Into<String>) {
     if enabled() {

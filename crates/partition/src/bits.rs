@@ -1,9 +1,9 @@
-//! Bit-plane primitives shared by the 3-processor [`crate::Partition`] and
-//! `hetmmm-nproc`'s `NPartition`.
+//! Bit-plane primitives of the one plane store, [`crate::NPartition`]
+//! (and so of [`crate::Partition`], its three-owner form).
 //!
 //! A *plane line* is the `u64`-word mask of one row (or column) of one
-//! processor's bit-plane: bit `j % 64` of word `j / 64` is set iff the
-//! processor owns element `j` of the line. The invariant every plane
+//! owner's bit-plane: bit `j % 64` of word `j / 64` is set iff the owner
+//! holds element `j` of the line. The invariant every plane
 //! maintains is that the unused high bits of the last (*tail*) word are
 //! zero, so popcounts and word-wise sweeps never need a trailing mask.
 

@@ -53,6 +53,15 @@ fn one_by_one_matrix() {
     }
     let sim = simulate(&part, &SimConfig::new(plat, Algorithm::Scb));
     assert_eq!(sim.elems_sent, 0);
+
+    // The only row and column change owner: the transient VoC accounting
+    // must not underflow.
+    let part = Partition::from_fn(1, |_, _| Proc::R);
+    assert_eq!(part.get(0, 0), Proc::R);
+    assert_eq!(part.voc(), 0);
+    assert_eq!(part.elems(Proc::P), 0);
+    part.assert_invariants();
+    assert!(is_condensed(&part));
 }
 
 #[test]

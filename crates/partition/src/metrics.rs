@@ -13,7 +13,7 @@
 //! [`CommMetrics::from_partition`] gathers them all in one pass so the cost
 //! models never need the grid itself.
 
-use crate::grid::Partition;
+use crate::grid::{NPartition, Partition};
 use crate::proc_::Proc;
 use serde::{Deserialize, Serialize};
 
@@ -62,9 +62,10 @@ pub struct CommMetrics {
 impl CommMetrics {
     /// Extract the metrics from a partition.
     ///
-    /// Everything except `local_updates` is `O(N)`; `local_updates` uses a
-    /// bitset inner-product sweep costing `O(N³ / 64)` — fast enough for the
-    /// `N ≤ 2000` grids the search and tests use. Callers that only need
+    /// Everything except `local_updates` is `O(N / 64)` plane-mask
+    /// popcounts; [`local_updates`] costs `O(runs · N)` over runs of
+    /// identical rows — a few per processor for the candidate shapes, but
+    /// `O(N³ / 64)` for a scattered grid. Callers that only need
     /// communication quantities can use
     /// [`CommMetrics::from_partition_comm_only`].
     pub fn from_partition(part: &Partition) -> CommMetrics {
@@ -134,45 +135,62 @@ pub fn pairwise_volumes(part: &Partition) -> [[u64; 3]; 3] {
 /// Count, for each processor `X`, the scalar updates `(i, j, k)` with
 /// `owner(i,j) = owner(i,k) = owner(k,j) = X`.
 ///
-/// Implementation: one `N`-bit row bitset per matrix row per processor; for
-/// each pivot `k`, the contribution is `Σ_{i ∈ I_k} |rowbits[i] ∩ J_k|`
-/// where `I_k` is the X-owned column `k` and `J_k` the X-owned row `k`.
+/// With `L_i` row `i` of X's row plane, the count is
+/// `Σ_i Σ_{k ∈ L_i} |L_i ∩ L_k|`. Consecutive rows with identical lines
+/// form a *run* and share every term, so the sum is taken once per run,
+/// weighted by its length: each run's pivots `k` are counted per run they
+/// fall in, and each pair of runs met that way is popcounted once. The
+/// cost is `O(runs · N)` plus one `O(N / 64)` popcount per run pair — a
+/// few runs per processor for the candidate shapes; a scattered grid has
+/// ~`N` runs and costs `O(N³ / 64)`. Memory is `O(N)`.
 pub fn local_updates(part: &Partition) -> [u64; 3] {
-    let n = part.n();
-    let words = n.div_ceil(64);
-    // rowbits[p][i * words ..][..words]: bitset of columns of row i owned by p.
-    let mut rowbits = vec![vec![0u64; n * words]; 3];
-    for i in 0..n {
-        for j in 0..n {
-            let p = part.get(i, j).idx();
-            rowbits[p][i * words + j / 64] |= 1u64 << (j % 64);
+    Proc::ALL.map(|x| local_updates_of(part.grid(), x.q()))
+}
+
+/// [`local_updates`] of owner `x`, read from its row plane.
+fn local_updates_of(grid: &NPartition, x: u8) -> u64 {
+    let words = grid.words_per_line();
+    let word = |i: usize, w: usize| grid.row_plane_word(x, i, w);
+    // Runs of identical consecutive lines, as `(first row, length)`, and
+    // the run of every row.
+    let mut runs: Vec<(usize, u64)> = Vec::new();
+    let mut run_of = Vec::with_capacity(grid.n());
+    for i in 0..grid.n() {
+        match runs.last_mut() {
+            Some((first, len)) if (0..words).all(|w| word(*first, w) == word(i, w)) => *len += 1,
+            _ => runs.push((i, 1)),
         }
+        run_of.push(runs.len() - 1);
     }
-    let mut totals = [0u64; 3];
-    let mut jk = vec![0u64; words];
-    for p in 0..3 {
-        let proc = Proc::from_q(p as u8);
-        let bits = &rowbits[p];
-        for k in 0..n {
-            // J_k: columns of row k owned by proc.
-            jk.copy_from_slice(&bits[k * words..(k + 1) * words]);
-            if jk.iter().all(|&w| w == 0) {
-                continue;
-            }
-            // I_k: rows i with (i, k) owned by proc.
-            for i in 0..n {
-                if part.get(i, k) == proc {
-                    let row = &bits[i * words..(i + 1) * words];
-                    let mut acc = 0u32;
-                    for (a, b) in row.iter().zip(jk.iter()) {
-                        acc += (a & b).count_ones();
-                    }
-                    totals[p] += u64::from(acc);
+    let mut total = 0u64;
+    for &(a, len) in &runs {
+        // `pivots` of row `a`'s columns fall in the rows of run `b`.
+        let mut tally = |b: usize, pivots: u64| {
+            let shared: u32 = (0..words)
+                .map(|w| (word(a, w) & word(runs[b].0, w)).count_ones())
+                .sum();
+            total += len * pivots * u64::from(shared);
+        };
+        // Pivots ascend, so those in one run arrive together.
+        let (mut run, mut pivots) = (0, 0u64);
+        for w in 0..words {
+            let mut m = word(a, w);
+            while m != 0 {
+                let k = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                if pivots != 0 && run_of[k] != run {
+                    tally(run, pivots);
+                    pivots = 0;
                 }
+                run = run_of[k];
+                pivots += 1;
             }
         }
+        if pivots != 0 {
+            tally(run, pivots);
+        }
     }
-    totals
+    total
 }
 
 #[cfg(test)]
@@ -238,6 +256,51 @@ mod tests {
             _ => Proc::S,
         });
         assert_eq!(local_updates(&part), local_updates_naive(&part));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Row runs are exact on scattered grids, rect unions, and grids
+        /// whose identical rows are not consecutive.
+        #[test]
+        fn row_runs_match_naive(seed in 0u64..1_000_000, size in 0usize..5, shape in 0usize..3) {
+            use crate::builder::{random_partition, PartitionBuilder};
+            use crate::proc_::Ratio;
+            use rand::rngs::StdRng;
+            use rand::{RngExt, SeedableRng};
+            let n = [1, 2, 7, 17, 40][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let owner = |rng: &mut StdRng| Proc::from_q(rng.random_range(0..3u8));
+            let part = match shape {
+                0 => {
+                    let s = rng.random_range(1..=3);
+                    let r = rng.random_range(s..=4);
+                    let p = rng.random_range(r..=8);
+                    random_partition(n, Ratio::new(p, r, s), &mut rng)
+                }
+                1 => {
+                    let mut builder = PartitionBuilder::new(n);
+                    for _ in 0..rng.random_range(1..=6) {
+                        let (t, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                        let (l, r) = (rng.random_range(0..n), rng.random_range(0..n));
+                        let rect = Rect::new(t.min(b), t.max(b), l.min(r), l.max(r));
+                        builder = builder.rect(rect, owner(&mut rng));
+                    }
+                    builder.build()
+                }
+                _ => {
+                    // A few random line patterns repeated with a period, so
+                    // equal lines recur between different ones.
+                    let period = rng.random_range(2..=4);
+                    let lines: Vec<Vec<Proc>> = (0..period)
+                        .map(|_| (0..n).map(|_| owner(&mut rng)).collect())
+                        .collect();
+                    Partition::from_fn(n, |i, j| lines[i % period][j])
+                }
+            };
+            proptest::prop_assert_eq!(local_updates(&part), local_updates_naive(&part));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use hetmmm_obs as obs;
 use hetmmm_partition::NPartition;
-use hetmmm_push::{try_push_n, Direction, ProbeCache, RuleLayer};
+use hetmmm_push::{try_push_n, Direction};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -93,30 +93,21 @@ impl NDfaRunner {
         let mut order: Vec<usize> = (0..entries.len()).collect();
         let mut seen = std::collections::HashSet::new();
         seen.insert(part.state_hash());
-        // Known-infeasible verdicts keyed on the exact state hash. A hit
-        // skips the attempt entirely; since a failed `try_push_n` changes
-        // no state and consumes no randomness, the skip leaves the seeded
-        // run bit-identical to the uncached search.
-        let mut probes = ProbeCache::new(k, RuleLayer::Modes);
+        // No verdict cache: a cached verdict could only be looked up at a
+        // revisited state hash, and a revisit ends the run.
 
         'outer: loop {
             order.shuffle(&mut rng);
             let mut progressed = false;
-            let mut hash = part.state_hash();
             for &idx in &order {
                 let (proc, dir) = entries[idx];
-                if probes.lookup(hash, proc, dir) == Some(false) {
-                    continue;
-                }
                 if let Some(applied) = try_push_n(&mut part, proc, dir) {
                     steps += 1;
                     progressed = true;
-                    probes.evict_touched(applied.touched_mask);
                     if applied.delta_voc_units < 0 {
                         seen.clear();
                     }
-                    hash = part.state_hash();
-                    if !seen.insert(hash) {
+                    if !seen.insert(part.state_hash()) {
                         cycled = true;
                         converged = true;
                         break 'outer;
@@ -126,7 +117,6 @@ impl NDfaRunner {
                     }
                     break;
                 }
-                probes.record(hash, proc, dir, false);
             }
             if !progressed {
                 converged = true;

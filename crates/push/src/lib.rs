@@ -30,8 +30,8 @@
 //!   ← and →, and the mutable grid view,
 //! - [`probe`]: clone-free feasibility probes ([`push_feasible`],
 //!   [`push_feasible_n`]) answered by the same kernel through a read-only
-//!   overlay, plus the hash-verified per-run verdict cache both searches
-//!   use ([`ProbeCache`]),
+//!   overlay, plus the hash-verified per-run verdict cache of the
+//!   three-processor search ([`ProbeCache`]),
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
 //!   sets, random interleaving) with snapshot support (Fig. 7),
 //! - [`beautify`]: exhaustive condensation in *all* directions, used to

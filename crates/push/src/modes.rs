@@ -52,8 +52,8 @@ pub struct NAppliedPush {
     pub swaps: usize,
     /// Bitmask (bit = processor id, `k ≤ 64` by construction) of every
     /// processor whose elements the push moved: the active processor plus
-    /// each displaced receiver. The search uses it to evict probe-cache
-    /// slots for exactly the processors whose occupancy changed.
+    /// each displaced receiver: the slots a [`crate::ProbeCache`] would
+    /// evict ([`crate::ProbeCache::evict_touched`]).
     pub touched_mask: u64,
 }
 

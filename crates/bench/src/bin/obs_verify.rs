@@ -12,7 +12,7 @@
 //! "corrupt artifact" from "pointed at the wrong artifact".
 //!
 //! With `--hb`, additionally replays the stream through the
-//! happens-before protocol checker (`hetmmm_lint::hb`): vector clocks per
+//! happens-before protocol checker (`hetmmm_report::hb`): vector clocks per
 //! worker, send/recv matching per attempt window, checkpoint
 //! monotonicity, and blame-after-retry-budget discipline (rules
 //! H001–H004). Optionally validates a manifest JSONL
@@ -28,8 +28,8 @@
 //! 3 file had lines but none parsed.
 
 use hetmmm_bench::Args;
-use hetmmm_lint::hb;
 use hetmmm_obs::{EventKind, EventRecord, RunManifest, MANIFEST_VERSION, SCHEMA_VERSION};
+use hetmmm_report::hb;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -150,10 +150,28 @@ fn verify_events(path: &str) -> Result<EventsReport, String> {
                 }
                 report.segments += 1;
             }
-            // hetmmm-lint: ack-events(Message, DfaRunStart, DfaPush, DfaPushRejected, DfaRunEnd) free-form and DFA events have no cross-record structure to validate here
-            // hetmmm-lint: ack-events(ExecSend, ExecRecv, ExecPeerLost, ExecRetry, ExecResume, ExecCheckpoint, ExecDegraded, ExecBlame, ExecRepartition) executor protocol ordering is checked by the --hb pass, not the per-record scan
-            // hetmmm-lint: ack-events(SimRun, SimPhase, NprocRunEnd) simulator and k-proc summaries are self-contained records
-            _ => {}
+            // No wildcard arm: a new variant fails to compile here until
+            // this scan decides whether it has structure to validate.
+            // Free-form and DFA events have no cross-record structure.
+            EventKind::Message { .. }
+            | EventKind::DfaRunStart { .. }
+            | EventKind::DfaPush { .. }
+            | EventKind::DfaPushRejected { .. }
+            | EventKind::DfaRunEnd { .. }
+            // Executor protocol ordering is checked by the --hb pass.
+            | EventKind::ExecSend { .. }
+            | EventKind::ExecRecv { .. }
+            | EventKind::ExecPeerLost { .. }
+            | EventKind::ExecRetry { .. }
+            | EventKind::ExecResume { .. }
+            | EventKind::ExecCheckpoint { .. }
+            | EventKind::ExecDegraded { .. }
+            | EventKind::ExecBlame { .. }
+            | EventKind::ExecRepartition { .. }
+            // Simulator and k-proc summaries are self-contained records.
+            | EventKind::SimRun { .. }
+            | EventKind::SimPhase { .. }
+            | EventKind::NprocRunEnd { .. } => {}
         }
         report.events += 1;
     }

@@ -349,7 +349,7 @@ fn main() -> ExitCode {
             .get_str("history")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(|| results_dir().join("bench_history.jsonl"));
-        // hetmmm-lint: allow(L002) the trend store records real wall-clock epoch, not modeled time
+        // The trend store records real wall-clock epoch, not modeled time.
         let unix_secs = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

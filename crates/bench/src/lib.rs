@@ -5,8 +5,18 @@
 //! binary in `src/bin/` (see DESIGN.md's experiment index); Criterion
 //! micro-benchmarks live in `benches/`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// The package's binaries are exempt from the workspace's library lints
+// (see Cargo.toml); this library half opts back in.
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods
+)]
 
 use hetmmm_obs as obs;
 use std::collections::HashMap;
@@ -27,7 +37,10 @@ impl Args {
     }
 
     /// Parse an explicit iterator (testable).
-    #[allow(clippy::should_implement_trait)] // not a `FromIterator`: takes owned Strings, never fails
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not a `FromIterator`: takes owned Strings, never fails"
+    )]
     pub fn from_iter(iter: impl IntoIterator<Item = String>) -> Args {
         let mut flags = HashMap::new();
         let mut iter = iter.into_iter().peekable();
@@ -150,7 +163,10 @@ impl BinSession {
             .get_str("seed0")
             .or_else(|| args.get_str("seed"))
             .and_then(|s| s.parse().ok());
-        // hetmmm-lint: allow(L002) manifests record real wall-clock epoch, not modeled time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "manifests record real wall-clock epoch, not modeled time"
+        )]
         let started_unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
@@ -189,8 +205,11 @@ impl Drop for BinSession {
         // Cap the file at its newest HETMMM_OBS_MANIFEST_CAP records
         // (default 1024, 0 = unlimited) so repeated bench runs cannot grow
         // it without bound.
+        #[expect(
+            clippy::print_stderr,
+            reason = "in Drop mid-teardown; sinks are being uninstalled"
+        )]
         if let Err(err) = obs::append_manifest_capped(&path, &manifest, obs::manifest_cap()) {
-            // hetmmm-lint: allow(L003) in Drop mid-teardown; sinks are being uninstalled
             eprintln!("hetmmm-bench: cannot write {}: {err}", path.display());
         }
         obs::flush_sinks();

@@ -39,9 +39,6 @@
 //! | [`mmm`] | serial kij and the partition-driven threaded executor |
 //! | [`twoproc`] | the two-processor prior-work substrate |
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use hetmmm_cost as cost;
 pub use hetmmm_error as error;
 pub use hetmmm_mmm as mmm;

@@ -22,9 +22,6 @@
 //! live in [`models`], and the normalized Square-Corner / Block-Rectangle
 //! comparison of Section X-A in [`closed`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod closed;
 pub mod hockney;
 pub mod models;

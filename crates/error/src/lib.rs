@@ -3,16 +3,14 @@
 //! The workspace-wide typed error enum. Public APIs that used to panic or
 //! `expect` (the threaded executor, the DFA runner's checked entry points,
 //! the partition builder) return [`HetmmmError`] instead, so callers can
-//! distinguish misuse (dimension mismatches, out-of-bounds rectangles)
-//! from runtime conditions (worker loss, search non-convergence) and react
-//! — the executor's survivor re-partitioning being the flagship reaction.
+//! distinguish misuse (dimension mismatches, out-of-bounds rectangles,
+//! configs that would wedge the executor) from runtime conditions (search
+//! non-convergence). Worker loss is not an error: the executor recovers or
+//! degrades to a serial finish and reports it in its stats.
 //!
 //! `thiserror` is not vendorable in this offline build, so the `Display`
 //! and `Error` impls are written by hand in the same one-variant-one-message
 //! style a `#[derive(Error)]` would generate.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -77,21 +75,6 @@ pub enum HetmmmError {
         /// VoC of the final state.
         voc_final: u64,
     },
-    /// A worker thread failed (crashed, hung past the timeout, or
-    /// disappeared) during a partitioned multiply.
-    WorkerFailure {
-        /// `q`-encoding of the failed processor (0 = R, 1 = S, 2 = P).
-        proc_q: u8,
-        /// Pivot step at which the failure was detected, if known.
-        step: Option<usize>,
-        /// Human-readable detail (detection path, fault kind).
-        detail: String,
-    },
-    /// Every worker failed; no survivor set remains to re-partition onto.
-    NoSurvivors {
-        /// Recovery attempts made before giving up.
-        retries: u64,
-    },
     /// An execution/config knob holds a value that can only hang or wedge
     /// the run (e.g. a zero receive timeout or zero channel capacity).
     /// Surfaced eagerly at entry instead of deadlocking later.
@@ -141,24 +124,6 @@ impl fmt::Display for HetmmmError {
                 "DFA run increased VoC ({voc_initial} -> {voc_final}); \
                  push engine invariant violated"
             ),
-            HetmmmError::WorkerFailure {
-                proc_q,
-                step,
-                detail,
-            } => {
-                let name = match proc_q {
-                    0 => "R",
-                    1 => "S",
-                    _ => "P",
-                };
-                match step {
-                    Some(k) => write!(f, "worker {name} failed at step {k}: {detail}"),
-                    None => write!(f, "worker {name} failed: {detail}"),
-                }
-            }
-            HetmmmError::NoSurvivors { retries } => {
-                write!(f, "all workers failed (after {retries} recovery retries)")
-            }
             HetmmmError::InvalidConfig { field, detail } => {
                 write!(f, "invalid config: {field}: {detail}")
             }
@@ -185,13 +150,6 @@ mod tests {
         };
         assert!(e.to_string().contains("step cap exhausted"));
         assert!(e.to_string().contains("800"));
-
-        let e = HetmmmError::WorkerFailure {
-            proc_q: 1,
-            step: Some(12),
-            detail: "injected crash".into(),
-        };
-        assert_eq!(e.to_string(), "worker S failed at step 12: injected crash");
     }
 
     #[test]
@@ -207,7 +165,10 @@ mod tests {
 
     #[test]
     fn error_trait_object_works() {
-        let e: Box<dyn std::error::Error> = Box::new(HetmmmError::NoSurvivors { retries: 2 });
-        assert!(e.to_string().contains("all workers failed"));
+        let e: Box<dyn std::error::Error> = Box::new(HetmmmError::RectOutOfBounds {
+            rect: "[rows 0..=8, cols 0..=8]".into(),
+            n: 8,
+        });
+        assert!(e.to_string().contains("out of bounds for n = 8"));
     }
 }

@@ -378,6 +378,10 @@ fn send_with_deadline(
         match tx.try_send(msg) {
             Ok(()) => return Ok(blocked_since.map(|since| (since, clock.now_nanos()))),
             Err(TrySendError::Disconnected(_)) => return Err("channel disconnected"),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounded backoff while a real channel is full"
+            )]
             Err(TrySendError::Full(m)) => {
                 let now = clock.now_nanos();
                 if now >= deadline {
@@ -385,7 +389,6 @@ fn send_with_deadline(
                 }
                 blocked_since.get_or_insert(now);
                 msg = m;
-                // hetmmm-lint: allow(L005) bounded backoff while a real channel is full
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
@@ -526,16 +529,22 @@ impl Worker {
                         return Verdict::Crashed { step: k };
                     }
                     FaultKind::DropMessageAt { step } if step == k => drop_sends = true,
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the injected stall IS the modeled fault"
+                    )]
                     FaultKind::DelaySendAt { step, millis } if step == k => {
-                        // hetmmm-lint: allow(L005) the injected stall IS the modeled fault
                         std::thread::sleep(Duration::from_millis(millis));
                     }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the injected stall IS the modeled fault"
+                    )]
                     FaultKind::StallAt { step } if step == k => {
                         // Park past every peer's receive budget, then
                         // return without accusing anyone: persistent
                         // silence that only peer testimony can convict.
                         self.bank(&acc, k);
-                        // hetmmm-lint: allow(L005) the injected stall IS the modeled fault
                         std::thread::sleep(self.park);
                         return Verdict::Stalled { stats };
                     }

@@ -24,9 +24,6 @@
 //! (cross-checked in tests); with `k = 2` it reproduces the two-processor
 //! prior work.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod dfa;
 pub mod push;
 pub mod stats;

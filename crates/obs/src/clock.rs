@@ -6,6 +6,11 @@
 //! directly, so tests can substitute a [`FakeClock`] and get bit-for-bit
 //! reproducible timestamps.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the Clock is the sanctioned home of wall-time reads and waits"
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -25,7 +30,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// reading instantly instead, so retry/backoff schedules driven
     /// through a clock handle stay deterministic (and fast) in tests.
     fn sleep(&self, d: Duration) {
-        // hetmmm-lint: allow(L005) the Clock trait is the sanctioned home of wall-time waiting
         std::thread::sleep(d);
     }
 }

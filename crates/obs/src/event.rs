@@ -18,6 +18,8 @@ use serde::{Deserialize, Serialize};
 
 /// Version stamped on every serialized record. Bump on any breaking change
 /// to [`EventKind`] or [`EventRecord`]; `obs_verify` rejects mismatches.
+/// The test `wire_format_matches_the_golden` pins one record of every
+/// variant, so a change that needs a bump fails it.
 ///
 /// v2: span events carry the emitting thread's ordinal (`tid`), required by
 /// the `hetmmm-report` profiler to reconstruct per-thread call trees from
@@ -386,6 +388,190 @@ mod tests {
                 serde_json::from_str(&serde_json::to_string(&record).unwrap()).unwrap();
             assert_eq!(back, record);
         }
+    }
+
+    /// One sample of every variant with fixed field values, in declaration
+    /// order. Each arm builds the sample after its own variant, and the
+    /// `match` has no wildcard arm, so a new variant fails to compile here
+    /// until it joins the chain.
+    fn one_of_each_variant() -> Vec<EventKind> {
+        let mut all = vec![EventKind::SpanStart {
+            span: 1,
+            name: "dfa.run".into(),
+            arg: 7,
+            tid: 0,
+        }];
+        while let Some(next) = match &all[all.len() - 1] {
+            EventKind::SpanStart { .. } => Some(EventKind::SpanEnd {
+                span: 1,
+                name: "dfa.run".into(),
+                nanos: 250,
+                tid: 0,
+            }),
+            EventKind::SpanEnd { .. } => Some(EventKind::Message {
+                target: "bench.table".into(),
+                text: "ratio 5:3:1".into(),
+            }),
+            EventKind::Message { .. } => Some(EventKind::DfaRunStart {
+                seed: 42,
+                n: 40,
+                ratio: "5:3:1".into(),
+                plan_len: 8,
+            }),
+            EventKind::DfaRunStart { .. } => Some(EventKind::DfaPush {
+                step: 1,
+                proc: "R".into(),
+                dir: "↓".into(),
+                push_type: 3,
+                delta_voc: -12,
+            }),
+            EventKind::DfaPush { .. } => Some(EventKind::DfaPushRejected {
+                proc: "S".into(),
+                dir: "←".into(),
+            }),
+            EventKind::DfaPushRejected { .. } => Some(EventKind::DfaRunEnd {
+                steps: 96,
+                termination: "FixedPoint".into(),
+                voc_initial: 3200,
+                voc_final: 1480,
+                residual_pushes: 0,
+                condensed: true,
+            }),
+            EventKind::DfaRunEnd { .. } => Some(EventKind::ExecSend {
+                from: "R".into(),
+                to: "S".into(),
+                step: 2,
+                elems: 9,
+            }),
+            EventKind::ExecSend { .. } => Some(EventKind::ExecRecv {
+                from: "R".into(),
+                to: "S".into(),
+                step: 2,
+                elems: 9,
+                wait_nanos: 1_000,
+            }),
+            EventKind::ExecRecv { .. } => Some(EventKind::ExecPeerLost {
+                worker: "P".into(),
+                peer: "S".into(),
+                step: 3,
+                detail: "receive timed out".into(),
+            }),
+            EventKind::ExecPeerLost { .. } => Some(EventKind::ExecRetry {
+                worker: "P".into(),
+                peer: "S".into(),
+                step: 3,
+                attempt: 1,
+                wait_nanos: 2_000,
+            }),
+            EventKind::ExecRetry { .. } => Some(EventKind::ExecResume {
+                attempt: 2,
+                resume_step: 3,
+                resumed: 3,
+                replayed: 1,
+                survivors: 3,
+                backoff_nanos: 5_000,
+            }),
+            EventKind::ExecResume { .. } => Some(EventKind::ExecCheckpoint {
+                worker: "R".into(),
+                through: 4,
+                cells: 16,
+            }),
+            EventKind::ExecCheckpoint { .. } => Some(EventKind::ExecDegraded {
+                survivors: 1,
+                cascade_depth: 2,
+                reason: "sole-survivor".into(),
+                replayed: 5,
+            }),
+            EventKind::ExecDegraded { .. } => Some(EventKind::ExecBlame {
+                dead: "S".into(),
+                weights: vec![0, 3, 1],
+            }),
+            EventKind::ExecBlame { .. } => Some(EventKind::ExecRepartition {
+                dead: "S".into(),
+                reassigned: 12,
+                survivors: 2,
+            }),
+            EventKind::ExecRepartition { .. } => Some(EventKind::ExecSegment {
+                worker: "P".into(),
+                kind: "recv-wait".into(),
+                peer: "R".into(),
+                step: 4,
+                start_nanos: 1_000,
+                end_nanos: 2_500,
+            }),
+            EventKind::ExecSegment { .. } => Some(EventKind::SimRun {
+                algorithm: "SCB".into(),
+                comm_time: 0.5,
+                exe_time: 1.25,
+                messages: 6,
+                elems_sent: 300,
+            }),
+            EventKind::SimRun { .. } => Some(EventKind::SimPhase {
+                phase: "transfer".into(),
+                from: "P".into(),
+                to: "R".into(),
+                start: 0.0,
+                end: 0.125,
+                elems: 40,
+            }),
+            EventKind::SimPhase { .. } => Some(EventKind::NprocRunEnd {
+                k: 4,
+                steps: 57,
+                converged: true,
+                voc_initial: 900,
+                voc_final: 610,
+            }),
+            EventKind::NprocRunEnd { .. } => None,
+        } {
+            all.push(next);
+        }
+        all
+    }
+
+    /// The wire format of every variant. Changing any line (a renamed,
+    /// added, removed or reordered field or variant, or a changed value
+    /// encoding) breaks readers of existing streams, so it means bumping
+    /// [`SCHEMA_VERSION`] along with this golden.
+    const GOLDEN: &str = r#"{"v":4,"ts_nanos":0,"event":{"SpanStart":{"span":1,"name":"dfa.run","arg":7,"tid":0}}}
+{"v":4,"ts_nanos":1,"event":{"SpanEnd":{"span":1,"name":"dfa.run","nanos":250,"tid":0}}}
+{"v":4,"ts_nanos":2,"event":{"Message":{"target":"bench.table","text":"ratio 5:3:1"}}}
+{"v":4,"ts_nanos":3,"event":{"DfaRunStart":{"seed":42,"n":40,"ratio":"5:3:1","plan_len":8}}}
+{"v":4,"ts_nanos":4,"event":{"DfaPush":{"step":1,"proc":"R","dir":"↓","push_type":3,"delta_voc":-12}}}
+{"v":4,"ts_nanos":5,"event":{"DfaPushRejected":{"proc":"S","dir":"←"}}}
+{"v":4,"ts_nanos":6,"event":{"DfaRunEnd":{"steps":96,"termination":"FixedPoint","voc_initial":3200,"voc_final":1480,"residual_pushes":0,"condensed":true}}}
+{"v":4,"ts_nanos":7,"event":{"ExecSend":{"from":"R","to":"S","step":2,"elems":9}}}
+{"v":4,"ts_nanos":8,"event":{"ExecRecv":{"from":"R","to":"S","step":2,"elems":9,"wait_nanos":1000}}}
+{"v":4,"ts_nanos":9,"event":{"ExecPeerLost":{"worker":"P","peer":"S","step":3,"detail":"receive timed out"}}}
+{"v":4,"ts_nanos":10,"event":{"ExecRetry":{"worker":"P","peer":"S","step":3,"attempt":1,"wait_nanos":2000}}}
+{"v":4,"ts_nanos":11,"event":{"ExecResume":{"attempt":2,"resume_step":3,"resumed":3,"replayed":1,"survivors":3,"backoff_nanos":5000}}}
+{"v":4,"ts_nanos":12,"event":{"ExecCheckpoint":{"worker":"R","through":4,"cells":16}}}
+{"v":4,"ts_nanos":13,"event":{"ExecDegraded":{"survivors":1,"cascade_depth":2,"reason":"sole-survivor","replayed":5}}}
+{"v":4,"ts_nanos":14,"event":{"ExecBlame":{"dead":"S","weights":[0,3,1]}}}
+{"v":4,"ts_nanos":15,"event":{"ExecRepartition":{"dead":"S","reassigned":12,"survivors":2}}}
+{"v":4,"ts_nanos":16,"event":{"ExecSegment":{"worker":"P","kind":"recv-wait","peer":"R","step":4,"start_nanos":1000,"end_nanos":2500}}}
+{"v":4,"ts_nanos":17,"event":{"SimRun":{"algorithm":"SCB","comm_time":0.5,"exe_time":1.25,"messages":6,"elems_sent":300}}}
+{"v":4,"ts_nanos":18,"event":{"SimPhase":{"phase":"transfer","from":"P","to":"R","start":0.0,"end":0.125,"elems":40}}}
+{"v":4,"ts_nanos":19,"event":{"NprocRunEnd":{"k":4,"steps":57,"converged":true,"voc_initial":900,"voc_final":610}}}"#;
+
+    #[test]
+    fn wire_format_matches_the_golden() {
+        let lines: Vec<String> = one_of_each_variant()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| {
+                serde_json::to_string(&EventRecord {
+                    v: SCHEMA_VERSION,
+                    ts_nanos: i as u64,
+                    event,
+                })
+                .unwrap()
+            })
+            .collect();
+        let actual = lines.join("\n");
+        assert!(
+            actual == GOLDEN,
+            "the wire format changed: bump SCHEMA_VERSION and set GOLDEN to\n{actual}"
+        );
     }
 
     #[test]

@@ -14,10 +14,10 @@ use std::sync::{Arc, RwLock};
 /// Registry of every metric name the workspace records.
 ///
 /// One module holds the entire metric surface of a run, so dashboards and
-/// `obs_report` consumers have a single place to look names up. Rule L011
-/// (`hetmmm-lint`) enforces the contract mechanically: every name literal
-/// handed to `.counter(..)` / `.gauge(..)` / `.histogram(..)` outside
-/// test code must be declared here, and declarations must be unique.
+/// `obs_report` consumers have a single place to look names up. Library
+/// code hands `.counter(..)` / `.gauge(..)` / `.histogram(..)` one of these
+/// constants, never a literal, so a misspelt name fails to compile. Keep
+/// the names unique: two constants with one name share one instrument.
 pub mod names {
     /// Per-processor count of C-element updates, indexed by `Proc::idx()`.
     pub const EXEC_UPDATES: [&str; 3] = ["exec.updates.R", "exec.updates.S", "exec.updates.P"];

@@ -50,7 +50,10 @@ impl PartitionBuilder {
     pub fn rect(self, rect: Rect, proc: Proc) -> PartitionBuilder {
         match self.try_rect(rect, proc) {
             Ok(builder) => builder,
-            // hetmmm-lint: allow(L001) documented panic; try_rect is the fallible twin
+            #[expect(
+                clippy::panic,
+                reason = "documented panic; try_rect is the fallible twin"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

@@ -33,9 +33,6 @@
 //!   paper's randomized `q0` generator (Section VI-A-2),
 //! - [`render`]: coarse-grained ASCII / PGM rendering (Fig. 7 style).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bits;
 pub mod builder;
 pub mod grid;

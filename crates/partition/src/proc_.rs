@@ -39,7 +39,10 @@ impl Proc {
             0 => Proc::R,
             1 => Proc::S,
             2 => Proc::P,
-            // hetmmm-lint: allow(L001) documented-panicking API on the DFA hot path; has a should_panic test
+            #[expect(
+                clippy::panic,
+                reason = "documented-panicking API on the DFA hot path; has a should_panic test"
+            )]
             _ => panic!("invalid q encoding {q}: must be 0 (R), 1 (S) or 2 (P)"),
         }
     }

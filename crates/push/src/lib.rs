@@ -37,9 +37,6 @@
 //! - [`beautify`]: exhaustive condensation in *all* directions, used to
 //!   finish Archetype C shapes (Theorem 8.3).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod beautify;
 pub mod dfa;
 pub mod modes;

@@ -27,7 +27,6 @@
 //! inputs. The "as of" stamp is the newest history entry's `git_rev`,
 //! *read from the inputs*, never computed at render time.
 
-// hetmmm-lint: ack-events(*) panels render pre-digested Analysis/Timeline/TrendReport values; the dashboard never decodes raw events
 use crate::analyze::Analysis;
 use crate::store::RunStore;
 use crate::timeline::Timeline;

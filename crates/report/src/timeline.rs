@@ -126,7 +126,6 @@ impl Timeline {
     pub fn from_events(records: &[EventRecord]) -> Timeline {
         let mut segments: Vec<Segment> = records
             .iter()
-            // hetmmm-lint: ack-events(*) timelines are built from ExecSegment alone; every other variant passes through opaquely
             .filter_map(|r| match &r.event {
                 EventKind::ExecSegment {
                     worker,

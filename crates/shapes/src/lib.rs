@@ -17,9 +17,6 @@
 //!   feasibility conditions (Theorem 9.1) and perimeter-minimizing canonical
 //!   forms ([`candidates`]).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod archetype;
 pub mod candidates;
 pub mod canonical;

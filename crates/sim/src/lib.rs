@@ -21,9 +21,6 @@
 //! Eq. 6 broadcast volumes for PCB, global barriers) are selected, and
 //! bound them otherwise.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod message;
 pub mod schedule;
 pub mod timeline;

@@ -22,9 +22,6 @@
 //! executor) then applies unchanged — which is itself a regression test of
 //! that machinery's degenerate-case handling.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod degrade;
 pub mod search2;

@@ -41,10 +41,19 @@ fn main() -> ExitCode {
     if events_path.is_none() && manifests_path.is_none() {
         eprintln!(
             "usage: obs_report --events <events.jsonl> [--manifests <manifests.jsonl>] \
-             [--folded <out>] [--fold-weight nanos|calls] [--csv-dir <dir>]"
+             [--folded <out>] [--fold-weight nanos|calls] [--csv-dir <dir>] \
+             [--trace <trace.json>] [--audit [--n 64] [--ratio 2:1:1] [--seed 7]]"
         );
         return ExitCode::FAILURE;
     }
+    let fold_weight = match args.get_str("fold-weight").unwrap_or("nanos") {
+        "nanos" => FoldWeight::SelfNanos,
+        "calls" => FoldWeight::Calls,
+        other => {
+            eprintln!("obs_report: --fold-weight {other}: expected nanos or calls");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let events = match events_path {
         Some(path) => match EventLog::read_path(path) {
@@ -108,10 +117,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let fold_weight = match args.get_str("fold-weight").unwrap_or("nanos") {
-        "calls" => FoldWeight::Calls,
-        _ => FoldWeight::SelfNanos,
-    };
     let profile = SpanProfile::from_events(&event_log.records);
     if let Some(path) = args.get_str("folded") {
         if let Err(err) = std::fs::write(path, profile.folded(fold_weight)) {

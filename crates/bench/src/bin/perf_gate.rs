@@ -1,39 +1,39 @@
-//! **Perf gate** — seeded workload suite with a committed baseline.
+//! **Perf gate** — a seeded workload suite, timed against the parent
+//! commit in alternating pairs.
 //!
-//! Runs three fixed workloads (a fig5 census slice, a threaded executor
-//! multiply, the serial kij kernel), records median-of-k wall times plus
-//! seeded-deterministic counters into `BENCH_current.json`, and compares
-//! against the committed `BENCH_baseline.json`:
+//! Runs five fixed workloads (a fig5 census slice, a threaded executor
+//! multiply, a probe-heavy fixed-point check, a warm probe-cache DFA batch
+//! and the serial kij kernel) plus the `obs_overhead` pair, and records
+//! median-of-k wall times and seeded-deterministic counters into
+//! `BENCH_current.json`. The counters are pure functions of the seed; the
+//! CLI tests pin them as literals.
 //!
-//! - wall times gate on a *ratio* (`--threshold`, default 1.8) — generous
-//!   because CI machines are noisy and heterogeneous;
-//! - counters (push totals, executor update/element counts) are pure
-//!   functions of the seed and gate on **exact equality**, catching quiet
-//!   behavioral drift even when it is fast.
+//! Two gates:
 //!
-//! Plus the `obs_overhead` pair: the same seeded DFA batch measured with
-//! sinks delivering (a counting `NullSink`, fine spans on) and with sinks
-//! suspended, gating the instrumentation's own cost to the median of
-//! within-run, pair-by-pair on/off ratios (`--overhead-threshold`,
-//! default 2.5) — "measure the observer".
+//! - `obs_overhead`: the same seeded DFA batch measured with sinks
+//!   delivering (a counting `NullSink`, fine spans on) and with sinks
+//!   suspended, gated on the median of within-run, pair-by-pair on/off
+//!   ratios (`--overhead-threshold`, default 2.5) — "measure the observer";
+//! - wall time, when `--baseline` names the `perf_gate` executable built
+//!   at the commit the change branched from: `--k` pairs of one-pass runs
+//!   of that binary and of this one, alternating which goes first, each
+//!   workload gated on its median per-pair change/parent ratio
+//!   (`--threshold`, default 1.8). Without `--baseline` the wall gate is
+//!   skipped.
 //!
 //! ```text
 //! cargo run --release -p hetmmm-bench --bin perf_gate -- \
-//!     [--baseline BENCH_baseline.json] [--current BENCH_current.json] \
+//!     [--baseline <parent perf_gate>] [--current BENCH_current.json] \
 //!     [--k 5] [--threshold 1.8] [--overhead-threshold 2.5] \
-//!     [--write-baseline] [--quick] [--slowdown-nanos 0]
+//!     [--quick] [--slowdown-nanos 0]
 //! ```
 //!
-//! `--write-baseline` records the suite as the new baseline (see DESIGN.md
-//! §9 for the update procedure). `--quick` shrinks every workload for the
-//! CLI self-test; `--slowdown-nanos` injects a synthetic sleep into each
-//! timed repetition so tests can demonstrate the gate failing.
-//!
-//! Every gate run (not `--write-baseline`) also appends one flattened
-//! [`TrendEntry`] to the bench-history store (`results/bench_history.jsonl`
-//! by default, `--history <path>` / `--no-history` to override), which the
-//! `bench_trend` binary analyzes for slow drift the single-baseline ratio
-//! gate cannot see.
+//! Each paired child runs as `<bin> --k 1 --current <temp file>
+//! --overhead-threshold inf` in a temporary directory, with `--quick`
+//! passed to both sides and `--slowdown-nanos` to this binary's side only.
+//! `--quick` shrinks every workload for the CLI self-test;
+//! `--slowdown-nanos` injects a synthetic sleep into each timed repetition
+//! so tests can demonstrate the gate failing.
 //!
 //! Deliberately does **not** open a `BinSession`: the gate measures the
 //! uninstrumented fast path (no sinks installed → spans are inert), and
@@ -42,15 +42,13 @@
 use hetmmm::mmm::{kij_serial, multiply_partitioned, Matrix};
 use hetmmm::prelude::*;
 use hetmmm::{census, CensusConfig};
-use hetmmm_bench::{results_dir, Args};
+use hetmmm_bench::Args;
 use hetmmm_obs as obs;
-use hetmmm_report::{
-    append_history_capped, compare, history_cap, median, BenchEntry, BenchSuite, TrendEntry,
-    BENCH_VERSION,
-};
+use hetmmm_report::{compare, median, BenchEntry, BenchSuite, BENCH_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::ExitCode;
+use std::path::Path;
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 struct Workload {
@@ -165,8 +163,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
 ///
 /// The `events_per_pass` counter on the instrumented arm is a pure
 /// function of the seed (every event the facade emits reaches the
-/// `NullSink`), so the baseline's exact-equality gate catches changes in
-/// instrumentation *volume* even when wall time hides them.
+/// `NullSink`), so the pinned counters catch changes in instrumentation
+/// *volume* even when wall time hides them.
 fn measure_overhead(k: u64, quick: bool, slowdown_nanos: u64) -> (BenchEntry, BenchEntry, f64) {
     let (n, runs) = if quick { (16, 2u64) } else { (40, 8u64) };
     let body = move || {
@@ -271,16 +269,89 @@ fn measure(workload: &Workload, k: u64, slowdown_nanos: u64) -> BenchEntry {
     }
 }
 
+/// Run one child suite: `bin --k 1` writing to a fresh file in `dir`.
+fn run_child(
+    bin: &Path,
+    dir: &Path,
+    quick: bool,
+    slowdown_nanos: u64,
+) -> Result<BenchSuite, String> {
+    let suite_path = dir.join("suite.json");
+    let _ = std::fs::remove_file(&suite_path);
+    let mut cmd = Command::new(bin);
+    cmd.current_dir(dir)
+        .args(["--k", "1", "--current"])
+        .arg(&suite_path)
+        .args(["--overhead-threshold", "inf"]);
+    if quick {
+        cmd.arg("--quick");
+    }
+    if slowdown_nanos > 0 {
+        cmd.args(["--slowdown-nanos", &slowdown_nanos.to_string()]);
+    }
+    let bin = bin.display();
+    let out = cmd
+        .output()
+        .map_err(|err| format!("{bin}: cannot run: {err}"))?;
+    if !out.status.success() {
+        return Err(format!(
+            "{bin}: {}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr).trim()
+        ));
+    }
+    let text = std::fs::read_to_string(&suite_path)
+        .map_err(|err| format!("{bin}: left no suite: {err}"))?;
+    serde_json::from_str(&text).map_err(|err| format!("{bin}: unparseable suite: {err}"))
+}
+
+/// Time `k` `(parent, change)` pairs of one-pass suites, alternating which
+/// side goes first. The children run in a temporary directory of their
+/// own, so neither side reads or writes files in the caller's.
+fn run_pairs(
+    parent: &Path,
+    k: u64,
+    quick: bool,
+    slowdown_nanos: u64,
+) -> Result<Vec<(BenchSuite, BenchSuite)>, String> {
+    let own = std::env::current_exe().map_err(|err| format!("cannot locate perf_gate: {err}"))?;
+    let dir = std::env::temp_dir().join(format!("hetmmm_perf_gate_pairs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|err| format!("{}: {err}", dir.display()))?;
+    let pairs = (0..k)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let p = run_child(parent, &dir, quick, 0)?;
+                Ok((p, run_child(&own, &dir, quick, slowdown_nanos)?))
+            } else {
+                let c = run_child(&own, &dir, quick, slowdown_nanos)?;
+                Ok((run_child(parent, &dir, quick, 0)?, c))
+            }
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    pairs
+}
+
 fn main() -> ExitCode {
     let args = Args::parse();
-    let baseline_path = args.get_str("baseline").unwrap_or("BENCH_baseline.json");
     let current_path = args.get_str("current").unwrap_or("BENCH_current.json");
     let k = args.get("k", 5u64).max(1);
     let threshold = args.get("threshold", 1.8f64);
-    let write_baseline = args.get_str("write-baseline").is_some();
     let quick = args.get_str("quick").is_some();
     let slowdown_nanos = args.get("slowdown-nanos", 0u64);
     let overhead_threshold = args.get("overhead-threshold", 2.5f64);
+    // Resolve the parent's binary up front: a wrong path fails before
+    // anything is measured, and the children run in another directory.
+    let baseline = match args.get_str("baseline") {
+        None => None,
+        Some(path) => match std::fs::canonicalize(path) {
+            Ok(path) => Some(path),
+            Err(err) => {
+                eprintln!("perf_gate: --baseline {path}: {err}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
 
     let mut entries: Vec<BenchEntry> = workloads(quick)
         .iter()
@@ -297,8 +368,7 @@ fn main() -> ExitCode {
         .collect();
 
     // The observer-of-the-observer workload: instrumented vs suspended,
-    // gated on its own ratio within this run (machine-relative, so it is
-    // robust where a cross-machine wall baseline would not be).
+    // gated on its own ratio within this run.
     let (on, off, overhead_ratio) = measure_overhead(k, quick, slowdown_nanos);
     println!(
         "{:<24} median {:>12} ns  ({} counters)",
@@ -328,96 +398,51 @@ fn main() -> ExitCode {
     };
 
     let json = serde_json::to_string(&suite).expect("serialize suite");
-    if write_baseline {
-        if let Err(err) = std::fs::write(baseline_path, &json) {
-            eprintln!("perf_gate: cannot write {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("baseline -> {baseline_path}");
-        return ExitCode::SUCCESS;
-    }
     if let Err(err) = std::fs::write(current_path, &json) {
         eprintln!("perf_gate: cannot write {current_path}: {err}");
         return ExitCode::FAILURE;
     }
     println!("current -> {current_path}");
-
-    // Append this run to the bench-history trend store (best-effort: a
-    // read-only checkout must not fail the gate).
-    if args.get_str("no-history").is_none() {
-        let history_path = args
-            .get_str("history")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| results_dir().join("bench_history.jsonl"));
-        // The trend store records real wall-clock epoch, not modeled time.
-        let unix_secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let entry = TrendEntry::from_suite(&suite, unix_secs);
-        match append_history_capped(&history_path, &entry, history_cap()) {
-            Ok(()) => println!("history -> {}", history_path.display()),
-            Err(err) => {
-                eprintln!(
-                    "perf_gate: cannot append {}: {err} (continuing)",
-                    history_path.display()
-                );
-            }
-        }
-    }
-
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-            println!(
-                "perf_gate: no baseline at {baseline_path} — nothing to gate against \
-                 (run with --write-baseline to record one)"
-            );
-            // The overhead gate is within-run: it needs no baseline and
-            // still applies.
-            if !overhead_ok {
-                eprintln!(
-                    "perf gate FAIL: instrumentation overhead {overhead_ratio:.3}x exceeds \
-                     {overhead_threshold:.2}x (sinks enabled vs suspended)"
-                );
-                return ExitCode::FAILURE;
-            }
-            return ExitCode::SUCCESS;
-        }
-        Err(err) => {
-            eprintln!("perf_gate: cannot read {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline: BenchSuite = match serde_json::from_str(&baseline_text) {
-        Ok(suite) => suite,
-        Err(err) => {
-            eprintln!("perf_gate: {baseline_path}: unparseable baseline: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let issues = compare(&baseline, &suite, threshold);
     if !overhead_ok {
         eprintln!(
             "perf gate FAIL: instrumentation overhead {overhead_ratio:.3}x exceeds \
              {overhead_threshold:.2}x (sinks enabled vs suspended)"
         );
     }
-    if issues.is_empty() && overhead_ok {
+
+    let Some(baseline) = baseline else {
+        println!("perf_gate: no --baseline binary, wall gate skipped");
+        return if overhead_ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    };
+    let pairs = match run_pairs(&baseline, k, quick, slowdown_nanos) {
+        Ok(pairs) => pairs,
+        Err(err) => {
+            eprintln!("perf gate FAIL: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let comparison = compare(&pairs, threshold);
+    for (name, ratio) in &comparison.ratios {
+        println!("{name:<24} change/parent {ratio:>6.3}x  (median of {k} pairs)");
+    }
+    if !comparison.issues.is_empty() {
+        eprintln!("perf gate FAIL against {}:", baseline.display());
+        for issue in &comparison.issues {
+            eprintln!("  {issue}");
+        }
+    }
+    if comparison.issues.is_empty() && overhead_ok {
         println!(
-            "perf gate PASS against {baseline_path} (rev {}, threshold {threshold:.2}x, \
+            "perf gate PASS against {} ({k} pairs, threshold {threshold:.2}x, \
              overhead {overhead_ratio:.3}x <= {overhead_threshold:.2}x)",
-            baseline.git_rev
+            baseline.display()
         );
         ExitCode::SUCCESS
     } else {
-        if !issues.is_empty() {
-            eprintln!("perf gate FAIL against {baseline_path}:");
-            for issue in &issues {
-                eprintln!("  {issue}");
-            }
-        }
         ExitCode::FAILURE
     }
 }

@@ -15,23 +15,14 @@
 //!   p50/p95/p99, and per-processor volume breakdowns ([`Analysis`],
 //!   [`ManifestSummary`]);
 //! - [`perf`] — the perf-gate data model: seeded workload results
-//!   ([`BenchSuite`]) and the noise-tolerant baseline comparison
-//!   ([`compare`]);
+//!   ([`BenchSuite`]) and the paired wall-time comparison of a change
+//!   against its parent ([`compare`]);
 //! - [`timeline`] — per-processor timeline reconstruction from
 //!   `ExecSegment` events: Chrome-trace export, critical-path analysis,
 //!   and measured T_comm/T_exe/overlap per worker ([`Timeline`]);
 //! - [`audit`] — the model-vs-measured prediction audit: calibrates an
 //!   effective platform from a measured timeline and reports per-model
 //!   relative error for all five cost models ([`audit::audit`]);
-//! - [`trend`] — the bench-history trend store: drift detection over
-//!   `results/bench_history.jsonl` ([`trend::analyze`]) plus capped
-//!   history rotation ([`trend::append_history_capped`]);
-//! - [`store`] — the unified [`RunStore`]: manifests, bench history, and
-//!   labeled event streams joined into one indexed model;
-//! - [`triage`] — automated regression triage: joins a drifted workload
-//!   against span self-time and exact-counter diffs ([`triage::triage`]);
-//! - [`dashboard`] — the zero-dependency static HTML census dashboard
-//!   ([`dashboard::render_dashboard`]);
 //! - [`hb`] — the happens-before protocol checker over executor event
 //!   streams, rules H001–H004 ([`hb::check_stream`]);
 //! - [`input`] — lenient JSONL loaders that survive truncated lines
@@ -44,29 +35,18 @@
 
 pub mod analyze;
 pub mod audit;
-pub mod dashboard;
 pub mod hb;
 pub mod input;
 pub mod perf;
 pub mod profile;
-pub mod store;
 pub mod timeline;
-pub mod trend;
-pub mod triage;
 
 pub use analyze::{Analysis, ExactSummary, ManifestSummary, PushFunnel};
 pub use audit::{Audit, AuditError, AuditRow};
-pub use dashboard::{render_dashboard, DashboardInputs, WinnerCell, WinnerMap};
 pub use input::{EventLog, ManifestLog};
-pub use perf::{compare, median, BenchEntry, BenchSuite, GateIssue, BENCH_VERSION};
+pub use perf::{compare, median, BenchEntry, BenchSuite, Comparison, GateIssue, BENCH_VERSION};
 pub use profile::{FoldWeight, SpanNode, SpanProfile};
-pub use store::{RunGroup, RunKey, RunStore, SeriesPoint, WorkloadSeries};
 pub use timeline::{CriticalPath, Segment, Timeline, WorkerSummary};
-pub use trend::{
-    analyze as analyze_trend, append_history_capped, history_cap, TrendEntry, TrendReport,
-    DEFAULT_HISTORY_CAP, TREND_VERSION,
-};
-pub use triage::{triage, CounterSuspect, SpanSuspect, TriageReport, WorkloadTriage};
 
 /// Render the combined text report for one event stream (and optionally a
 /// manifest log): analysis sections, manifest summary, the timeline

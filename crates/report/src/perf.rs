@@ -1,13 +1,15 @@
 //! The perf-gate data model: seeded workload measurements and the
-//! baseline comparison.
+//! paired wall-time comparison.
 //!
 //! The `perf_gate` binary runs a fixed, seeded workload suite and records
-//! a [`BenchSuite`] (`BENCH_current.json`). CI compares it against the
-//! committed `BENCH_baseline.json` with [`compare`]: wall-times gate on a
-//! noise-tolerant *ratio* (median-of-k against median-of-k), while the
-//! recorded counters — push totals, executor update/element counts — are
-//! seeded-deterministic and gate on exact equality, so a silent behavior
-//! change fails even when it happens to be fast.
+//! a [`BenchSuite`] (`BENCH_current.json`). Given the parent commit's
+//! `perf_gate`, it then times one-pass suites of the parent and of itself
+//! in alternating pairs, and [`compare`] gates each workload's median
+//! per-pair change/parent wall ratio. A pair shares the machine's state at
+//! the moment it runs, so load that slows one side slows the other too;
+//! no wall time is ever compared with one recorded elsewhere. The
+//! suite's counters are pure functions of the seed and are pinned as
+//! literals by the `perf_gate` CLI tests, not gated here.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,9 +25,9 @@ pub struct BenchEntry {
     pub median_wall_nanos: u64,
     /// Raw wall time of each repetition, in run order.
     pub wall_nanos: Vec<u64>,
-    /// Deterministic counters recorded during the *first* repetition,
-    /// sorted by name. Only counters that are pure functions of the seed
-    /// belong here — anything timing-dependent breaks the exact gate.
+    /// Deterministic counters recorded during an untimed pass, sorted by
+    /// name. Only counters that are pure functions of the seed belong
+    /// here.
     pub counters: Vec<(String, u64)>,
 }
 
@@ -52,34 +54,19 @@ impl BenchSuite {
 /// One reason the gate fails.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GateIssue {
-    /// A baseline workload is missing from the current suite.
+    /// A parent workload is missing from a change-side suite.
     MissingEntry {
         /// Workload name.
         name: String,
     },
-    /// Median wall time regressed beyond the threshold ratio.
+    /// The median per-pair change/parent wall ratio exceeds the threshold.
     WallRegression {
         /// Workload name.
         name: String,
-        /// Baseline median (ns).
-        baseline_nanos: u64,
-        /// Current median (ns).
-        current_nanos: u64,
-        /// `current / baseline`.
+        /// Median over the pairs of change wall time / parent wall time.
         ratio: f64,
         /// The configured limit the ratio exceeded.
         threshold: f64,
-    },
-    /// A deterministic counter changed value.
-    CounterMismatch {
-        /// Workload name.
-        name: String,
-        /// Counter name.
-        counter: String,
-        /// Baseline value (`None` = absent).
-        baseline: Option<u64>,
-        /// Current value (`None` = absent).
-        current: Option<u64>,
     },
 }
 
@@ -87,30 +74,30 @@ impl std::fmt::Display for GateIssue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GateIssue::MissingEntry { name } => {
-                write!(f, "{name}: missing from current suite")
+                write!(f, "{name}: missing from the change's suite")
             }
             GateIssue::WallRegression {
                 name,
-                baseline_nanos,
-                current_nanos,
                 ratio,
                 threshold,
             } => write!(
                 f,
-                "{name}: wall regression {baseline_nanos}ns -> {current_nanos}ns \
-                 ({ratio:.2}x > {threshold:.2}x limit)"
-            ),
-            GateIssue::CounterMismatch {
-                name,
-                counter,
-                baseline,
-                current,
-            } => write!(
-                f,
-                "{name}: counter {counter} changed {baseline:?} -> {current:?}"
+                "{name}: wall regression {ratio:.2}x > {threshold:.2}x limit \
+                 (median per-pair change/parent ratio)"
             ),
         }
     }
+}
+
+/// The outcome of [`compare`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Comparison {
+    /// Each parent workload's median per-pair change/parent wall ratio,
+    /// in suite order. A workload whose parent time was zero in every pair
+    /// (a `FakeClock` measurement) has no ratio and is left out.
+    pub ratios: Vec<(String, f64)>,
+    /// Every violation found; empty means the gate passes.
+    pub issues: Vec<GateIssue>,
 }
 
 /// Median of a value set (lower-of-two-middles for even counts; 0 when
@@ -124,81 +111,72 @@ pub fn median(values: &[u64]) -> u64 {
     sorted[(sorted.len() - 1) / 2]
 }
 
-/// Compare a current suite against the committed baseline.
+/// Median of per-pair ratios: the middle value for an odd count, the mean
+/// of the two middles for an even one, `None` when empty.
+fn median_ratio(mut ratios: Vec<f64>) -> Option<f64> {
+    ratios.sort_unstable_by(f64::total_cmp);
+    let len = ratios.len();
+    (len > 0).then(|| (ratios[(len - 1) / 2] + ratios[len / 2]) / 2.0)
+}
+
+/// Compare `(parent, change)` suite pairs, each side one timed pass, run
+/// back to back.
 ///
-/// Returns every violation found (empty = gate passes). `threshold` is
-/// the allowed `current/baseline` median wall-time ratio — generous by
-/// design (CI machines are noisy and heterogeneous); the exact counter
-/// gate is what catches quiet behavioral drift. Workloads present only in
-/// the current suite are new measurements, not failures.
-pub fn compare(baseline: &BenchSuite, current: &BenchSuite, threshold: f64) -> Vec<GateIssue> {
-    let mut issues = Vec::new();
-    for base in &baseline.entries {
-        let Some(cur) = current.entry(&base.name) else {
-            issues.push(GateIssue::MissingEntry {
-                name: base.name.clone(),
-            });
+/// For every workload of the first parent suite, each pair contributes
+/// the ratio of the change's wall time to the parent's, and the workload
+/// fails when the median of those ratios exceeds `threshold`. A pair whose
+/// parent time is zero contributes nothing, so a zero never divides.
+/// Speed-ups never fail. A workload missing from any change-side suite is
+/// reported; workloads only the change measures are new, not failures.
+pub fn compare(pairs: &[(BenchSuite, BenchSuite)], threshold: f64) -> Comparison {
+    let mut out = Comparison::default();
+    let Some((first, _)) = pairs.first() else {
+        return out;
+    };
+    for workload in &first.entries {
+        let name = &workload.name;
+        let mut ratios = Vec::with_capacity(pairs.len());
+        let mut missing = false;
+        for (parent, change) in pairs {
+            let parent_nanos = parent.entry(name).map_or(0, |e| e.median_wall_nanos);
+            match change.entry(name) {
+                None => missing = true,
+                Some(cur) if parent_nanos > 0 => {
+                    ratios.push(cur.median_wall_nanos as f64 / parent_nanos as f64);
+                }
+                Some(_) => {}
+            }
+        }
+        if missing {
+            out.issues
+                .push(GateIssue::MissingEntry { name: name.clone() });
+            continue;
+        }
+        let Some(ratio) = median_ratio(ratios) else {
             continue;
         };
-        if base.median_wall_nanos > 0 {
-            let ratio = cur.median_wall_nanos as f64 / base.median_wall_nanos as f64;
-            if ratio > threshold {
-                issues.push(GateIssue::WallRegression {
-                    name: base.name.clone(),
-                    baseline_nanos: base.median_wall_nanos,
-                    current_nanos: cur.median_wall_nanos,
-                    ratio,
-                    threshold,
-                });
-            }
+        if ratio > threshold {
+            out.issues.push(GateIssue::WallRegression {
+                name: name.clone(),
+                ratio,
+                threshold,
+            });
         }
-        let cur_counter = |name: &str| {
-            cur.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
-        let base_counter = |name: &str| {
-            base.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
-        for (name, base_v) in &base.counters {
-            let cur_v = cur_counter(name);
-            if cur_v != Some(*base_v) {
-                issues.push(GateIssue::CounterMismatch {
-                    name: base.name.clone(),
-                    counter: name.clone(),
-                    baseline: Some(*base_v),
-                    current: cur_v,
-                });
-            }
-        }
-        for (name, cur_v) in &cur.counters {
-            if base_counter(name).is_none() {
-                issues.push(GateIssue::CounterMismatch {
-                    name: base.name.clone(),
-                    counter: name.clone(),
-                    baseline: None,
-                    current: Some(*cur_v),
-                });
-            }
-        }
+        out.ratios.push((name.clone(), ratio));
     }
-    issues
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(name: &str, med: u64, counters: &[(&str, u64)]) -> BenchEntry {
+    fn entry(name: &str, nanos: u64) -> BenchEntry {
         BenchEntry {
             name: name.into(),
-            median_wall_nanos: med,
-            wall_nanos: vec![med; 3],
-            counters: counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+            median_wall_nanos: nanos,
+            wall_nanos: vec![nanos],
+            counters: vec![],
         }
     }
 
@@ -206,68 +184,74 @@ mod tests {
         BenchSuite {
             v: BENCH_VERSION,
             git_rev: "test".into(),
-            k: 3,
+            k: 1,
             entries,
         }
     }
 
+    /// One pair per `(parent, change)` wall time of workload `a`.
+    fn pairs(times: &[(u64, u64)]) -> Vec<(BenchSuite, BenchSuite)> {
+        times
+            .iter()
+            .map(|&(p, c)| (suite(vec![entry("a", p)]), suite(vec![entry("a", c)])))
+            .collect()
+    }
+
     #[test]
     fn identical_suites_pass() {
-        let s = suite(vec![entry("a", 1000, &[("dfa.push.type1.down", 42)])]);
-        assert!(compare(&s, &s, 1.8).is_empty());
+        let cmp = compare(&pairs(&[(1000, 1000), (2000, 2000), (900, 900)]), 1.8);
+        assert!(cmp.issues.is_empty());
+        assert_eq!(cmp.ratios, vec![("a".to_string(), 1.0)]);
     }
 
     #[test]
     fn slowdown_within_threshold_passes_beyond_fails() {
-        let base = suite(vec![entry("a", 1000, &[])]);
-        let ok = suite(vec![entry("a", 1700, &[])]);
-        assert!(compare(&base, &ok, 1.8).is_empty());
-        let slow = suite(vec![entry("a", 5000, &[])]);
-        let issues = compare(&base, &slow, 1.8);
-        assert_eq!(issues.len(), 1);
+        let ok = compare(&pairs(&[(1000, 1700), (1000, 1700), (1000, 1700)]), 1.8);
+        assert!(ok.issues.is_empty());
+        let slow = compare(&pairs(&[(1000, 5000), (1000, 5000), (1000, 5000)]), 1.8);
+        assert_eq!(slow.issues.len(), 1);
         assert!(matches!(
-            &issues[0],
-            GateIssue::WallRegression { ratio, .. } if (*ratio - 5.0).abs() < 1e-9
+            &slow.issues[0],
+            GateIssue::WallRegression { name, ratio, .. } if name == "a" && (*ratio - 5.0).abs() < 1e-9
         ));
+        assert!(slow.issues[0].to_string().contains("wall regression 5.00x"));
+    }
+
+    #[test]
+    fn median_over_odd_and_even_pair_counts() {
+        // Odd k: the middle ratio, so one loaded pair cannot fail the gate.
+        let odd = compare(&pairs(&[(100, 100), (100, 900), (100, 150)]), 1.8);
+        assert_eq!(odd.ratios, vec![("a".to_string(), 1.5)]);
+        assert!(odd.issues.is_empty());
+        // Even k: the mean of the two middle ratios (1.5 and 2.5).
+        let even = compare(
+            &pairs(&[(100, 100), (100, 250), (100, 150), (100, 900)]),
+            1.8,
+        );
+        assert_eq!(even.ratios, vec![("a".to_string(), 2.0)]);
+        assert_eq!(even.issues.len(), 1);
     }
 
     #[test]
     fn speedups_never_fail() {
-        let base = suite(vec![entry("a", 10_000, &[])]);
-        let fast = suite(vec![entry("a", 10, &[])]);
-        assert!(compare(&base, &fast, 1.8).is_empty());
-    }
-
-    #[test]
-    fn counter_drift_fails_even_when_fast() {
-        let base = suite(vec![entry("a", 1000, &[("pushes", 42)])]);
-        let drifted = suite(vec![entry("a", 500, &[("pushes", 41)])]);
-        let issues = compare(&base, &drifted, 1.8);
-        assert_eq!(issues.len(), 1);
-        assert!(
-            matches!(&issues[0], GateIssue::CounterMismatch { counter, .. } if counter == "pushes")
-        );
-    }
-
-    #[test]
-    fn missing_and_extra_counters_are_reported() {
-        let base = suite(vec![entry("a", 1000, &[("old", 1)])]);
-        let cur = suite(vec![entry("a", 1000, &[("new", 2)])]);
-        let issues = compare(&base, &cur, 1.8);
-        assert_eq!(issues.len(), 2, "one vanished counter, one new counter");
+        let cmp = compare(&pairs(&[(10_000, 10), (10_000, 10), (10_000, 10)]), 1.8);
+        assert!(cmp.issues.is_empty());
     }
 
     #[test]
     fn missing_entry_is_reported_but_new_entries_are_not() {
-        let base = suite(vec![entry("gone", 1000, &[])]);
-        let cur = suite(vec![entry("brand_new", 1000, &[])]);
-        let issues = compare(&base, &cur, 1.8);
+        let pair = (
+            suite(vec![entry("gone", 1000)]),
+            suite(vec![entry("brand_new", 1000)]),
+        );
+        let cmp = compare(&[pair.clone(), pair], 1.8);
         assert_eq!(
-            issues,
+            cmp.issues,
             vec![GateIssue::MissingEntry {
                 name: "gone".into()
             }]
         );
+        assert!(cmp.ratios.is_empty());
     }
 
     #[test]
@@ -280,17 +264,20 @@ mod tests {
 
     #[test]
     fn suite_round_trips_through_json() {
-        let s = suite(vec![entry("a", 1000, &[("c", 7)])]);
+        let mut s = suite(vec![entry("a", 1000)]);
+        s.entries[0].counters = vec![("c".into(), 7)];
         let back: BenchSuite = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
     }
 
     #[test]
     fn zero_baseline_median_never_divides() {
-        // A FakeClock-measured baseline (all zeros) must not gate on an
-        // infinite ratio.
-        let base = suite(vec![entry("a", 0, &[])]);
-        let cur = suite(vec![entry("a", 1_000_000, &[])]);
-        assert!(compare(&base, &cur, 1.8).is_empty());
+        // A FakeClock-measured parent (all zeros) must not gate on an
+        // infinite ratio; a pair with a real parent time still counts.
+        let all_zero = compare(&pairs(&[(0, 1_000_000), (0, 1_000_000)]), 1.8);
+        assert_eq!(all_zero, Comparison::default());
+        let one_real = compare(&pairs(&[(0, 1_000_000), (1000, 1000)]), 1.8);
+        assert_eq!(one_real.ratios, vec![("a".to_string(), 1.0)]);
+        assert!(one_real.issues.is_empty());
     }
 }

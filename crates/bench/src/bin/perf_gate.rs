@@ -2,11 +2,11 @@
 //! commit in alternating pairs.
 //!
 //! Runs five fixed workloads (a fig5 census slice, a threaded executor
-//! multiply, a probe-heavy fixed-point check, a warm probe-cache DFA batch
-//! and the serial kij kernel) plus the `obs_overhead` pair, and records
-//! median-of-k wall times and seeded-deterministic counters into
-//! `BENCH_current.json`. The counters are pure functions of the seed; the
-//! CLI tests pin them as literals.
+//! multiply, a probe-heavy fixed-point check, a DFA batch with its
+//! residual probes and the serial kij kernel) plus the `obs_overhead`
+//! pair, and records median-of-k wall times and seeded-deterministic
+//! counters into `BENCH_current.json`. The counters are pure functions of
+//! the seed; the CLI tests pin them as literals.
 //!
 //! Two gates:
 //!
@@ -94,16 +94,16 @@ fn workloads(quick: bool) -> Vec<Workload> {
             counter_prefixes: &["push.probe"],
             run: Box::new(move || {
                 // Probe-heavy fixed-point checking: condense a handful of
-                // seeded random partitions, then hammer the 12-pair
+                // seeded random partitions, then hammer the 8-pair
                 // end-condition probe (`is_condensed`) on each fixed point.
                 // This is the hot shape of census post-processing — every
                 // probe answers "would any push apply?" without mutating.
                 //
-                // `push.probe.cache_hits` is 0 here *by design*: this
-                // workload gates the cold probe path (`is_condensed` calls
-                // `push_feasible` directly, no `ProbeCache` in front), so
-                // every evaluation pays full kernel cost. The warm cached
-                // path is gated separately by `dfa_probe_cache` below.
+                // `push.probe.cache_hits` is 0 here *by design*: no DFA
+                // run ends here, so no verdict is known in advance and
+                // every evaluation pays full kernel cost (4 partitions ×
+                // 80 repetitions × 8 pairs = 2,560). The DFA's residual
+                // check is measured by `dfa_probe_cache` below.
                 let mut checks = 0usize;
                 for s in 0..probe_parts {
                     let mut rng = StdRng::seed_from_u64(900 + s);
@@ -121,13 +121,14 @@ fn workloads(quick: bool) -> Vec<Workload> {
             name: "dfa_probe_cache",
             counter_prefixes: &["push.probe"],
             run: Box::new(move || {
-                // Warm probe path: seeded DFA runs answer repeat
-                // (proc, dir) rejections from the hash-verified
-                // `ProbeCache`, so this workload pins down both counters —
-                // `push.probe.evals` (misses that paid the kernel) and
-                // `push.probe.cache_hits` (verdicts served from a slot).
-                // A cache regression shows up as hits collapsing to 0
-                // (exact-equality gate) before it shows up as wall time.
+                // The DFA's residual check: after a fixed point only the
+                // off-plan pairs are probed (the final round ruled out the
+                // plan's), after any other termination all 8. The pinned
+                // counters split the 12 × 8 verdicts into
+                // `push.probe.evals` and `push.probe.cache_hits`, so a
+                // change to the rule shows there before it shows as wall
+                // time. The name, from a retired verdict cache, is kept so
+                // the paired gate finds the workload at the merge base.
                 let runner = DfaRunner::new(DfaConfig::new(cache_n, Ratio::new(2, 1, 1)));
                 for seed in 0..cache_runs {
                     let outcome = runner.run_seed(500 + seed);

@@ -2,8 +2,7 @@
 //! table/CSV emission.
 //!
 //! Every figure and table of the paper's evaluation has a regenerating
-//! binary in `src/bin/` (see DESIGN.md's experiment index); Criterion
-//! micro-benchmarks live in `benches/`.
+//! binary in `src/bin/` (see DESIGN.md's experiment index).
 
 // The package's binaries are exempt from the workspace's library lints
 // (see Cargo.toml); this library half opts back in.
@@ -58,12 +57,25 @@ impl Args {
         Args { flags }
     }
 
-    /// Fetch a value with a default.
+    /// Fetch a value with a default. A flag that is present but does not
+    /// parse is a usage error: the process exits with status 2 and a
+    /// message naming the flag and the value.
+    #[expect(clippy::print_stderr, reason = "a usage error, before any work")]
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(key, default).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::get`] without the exit: `Err` names the flag and the value.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(value) => value
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse {value:?}")),
+        }
     }
 
     /// Fetch an optional string.
@@ -237,8 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn args_bad_value_falls_back() {
+    fn args_bad_value_names_the_flag() {
         let args = Args::from_iter(["--n", "abc"].iter().map(|s| s.to_string()));
-        assert_eq!(args.get("n", 42usize), 42);
+        let err = args.parsed("n", 42usize).unwrap_err();
+        assert!(err.contains("--n") && err.contains("abc"), "{err}");
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end CLI tests for the `perf_gate` binary: the paired wall gate
 //! run against its own executable, a demonstrable failure under synthetic
-//! slowdown, the overhead gate, and the suite's pinned seeded counters.
+//! slowdown, the overhead gate, the suite's pinned seeded counters, and
+//! a malformed flag value failing before any work.
 //!
 //! The tests assert gate *logic* — counters, exit codes, messages. Where a
 //! run is expected to pass, its wall-ratio and overhead thresholds are set
@@ -276,4 +277,30 @@ fn overhead_gate_fails_under_impossible_threshold() {
         "failure names the overhead gate: {stderr}"
     );
     let _ = std::fs::remove_file(&current);
+}
+
+#[test]
+fn malformed_flag_value_exits_two_naming_the_flag() {
+    let current = tmp("malformed_current.json");
+    let _ = std::fs::remove_file(&current);
+    let out = gate_noise_proof(&[
+        "--quick",
+        "--k",
+        "five",
+        "--current",
+        current.to_str().unwrap(),
+    ]);
+    let written = current.exists();
+    let _ = std::fs::remove_file(&current);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a malformed --k is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--k") && stderr.contains("five"),
+        "the message names the flag and the value: {stderr}"
+    );
+    assert!(!written, "nothing is measured before the flags parse");
 }

@@ -2,7 +2,7 @@
 
 use hetmmm_obs as obs;
 use hetmmm_partition::NPartition;
-use hetmmm_push::{try_push_n, Direction};
+use hetmmm_push::{walk_n, Direction, Termination};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -67,7 +67,7 @@ impl NDfaRunner {
     }
 
     /// One seeded run: random start, random per-processor direction plan,
-    /// randomized interleaving, cycle detection.
+    /// then the three-processor search's DFA walk under the modes ([`walk_n`]).
     pub fn run_seed(&self, seed: u64) -> NDfaOutcome {
         let _span = obs::span_arg("nproc.run", seed);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -87,43 +87,8 @@ impl NDfaRunner {
         entries.shuffle(&mut rng);
 
         let voc_initial = part.voc();
-        let mut steps = 0usize;
-        let mut converged = false;
-        let mut cycled = false;
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(part.state_hash());
-        // No verdict cache: a cached verdict could only be looked up at a
-        // revisited state hash, and a revisit ends the run.
-
-        'outer: loop {
-            order.shuffle(&mut rng);
-            let mut progressed = false;
-            for &idx in &order {
-                let (proc, dir) = entries[idx];
-                if let Some(applied) = try_push_n(&mut part, proc, dir) {
-                    steps += 1;
-                    progressed = true;
-                    if applied.delta_voc_units < 0 {
-                        seen.clear();
-                    }
-                    if !seen.insert(part.state_hash()) {
-                        cycled = true;
-                        converged = true;
-                        break 'outer;
-                    }
-                    if steps >= self.config.step_cap {
-                        break 'outer;
-                    }
-                    break;
-                }
-            }
-            if !progressed {
-                converged = true;
-                break;
-            }
-        }
-
+        let (steps, termination) = walk_n(&mut part, &entries, self.config.step_cap, &mut rng);
+        let converged = termination.non_convergence().is_none();
         let voc_final = part.voc();
         debug_assert!(voc_final <= voc_initial);
         if obs::enabled() {
@@ -148,7 +113,7 @@ impl NDfaRunner {
             voc_initial,
             voc_final,
             converged,
-            cycled,
+            cycled: termination == Termination::NeutralCycle,
         }
     }
 

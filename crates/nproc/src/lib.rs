@@ -5,14 +5,15 @@
 //! the three processor case. It can easily be adapted to form partition
 //! shapes for any number of processors." — this crate is that adaptation.
 //!
-//! The grid and the push are the ones the three-processor search uses:
-//! [`NPartition`] is the workspace's one plane store (from
-//! `hetmmm-partition`, where `Partition` is its three-owner form), and the
+//! The grid, the push and the search walk are the ones the three-processor
+//! search uses: [`NPartition`] is the workspace's one plane store (from
+//! `hetmmm-partition`, where `Partition` is its three-owner form), the
 //! k-processor push is a rule layer of `hetmmm-push` ([`push`] re-exports
-//! it). This crate adds what is specific to `k ≥ 2` processors:
+//! it), and `hetmmm-push`'s DFA walk runs it (`hetmmm_push::walk_n`). This
+//! crate adds what is specific to `k ≥ 2` processors:
 //!
-//! - [`dfa`]: the randomized search with per-processor direction plans and
-//!   neutral-cycle detection,
+//! - [`dfa`]: the seeded runner — random start, per-processor direction
+//!   plans, the step cap — and its outcome,
 //! - [`stats`]: shape descriptors for the outcomes — per-processor
 //!   rectangularity (fill of the enclosing rectangle), corner counts, and
 //!   the pairwise enclosing-rectangle overlap structure — the raw material

@@ -2,8 +2,8 @@
 //!
 //! The rule layer lives in `hetmmm-push` ([`hetmmm_push::modes`]), beside
 //! the paper's six push types, and runs on the same grid views, probe
-//! overlay and verdict cache; this module re-exports it under the names
-//! the k-processor search has always used.
+//! overlay and DFA walk; this module re-exports it under the names the
+//! k-processor search has always used.
 
 pub use hetmmm_push::{
     push_feasible_n, try_push_mode, try_push_n, Direction as NDirection, NAppliedPush, PushMode,
@@ -13,7 +13,6 @@ pub use hetmmm_push::{
 mod tests {
     use super::*;
     use hetmmm_partition::NPartition;
-    use hetmmm_push::{ProbeCache, RuleLayer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -29,7 +28,6 @@ mod tests {
                     if let Some(ap) = try_push_n(&mut part, proc, dir) {
                         assert!(ap.delta_voc_units <= 0);
                         assert!(part.voc() <= voc);
-                        assert!(ap.touched_mask & (1 << proc) != 0);
                         voc = part.voc();
                         any = true;
                     }
@@ -94,25 +92,5 @@ mod tests {
                 assert!(!push_feasible_n(&part, proc, dir));
             }
         }
-    }
-
-    #[test]
-    fn probe_cache_hits_on_exact_hash_and_evicts_touched() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let part = NPartition::random(14, &[5, 3, 2, 1], &mut rng);
-        let mut cache = ProbeCache::new(4, RuleLayer::Modes);
-        let verdict = cache.probe(&part, 1, NDirection::Down);
-        assert_eq!(
-            cache.lookup(part.state_hash(), 1, NDirection::Down),
-            Some(verdict)
-        );
-        assert_eq!(
-            cache.lookup(part.state_hash() ^ 1, 1, NDirection::Down),
-            None
-        );
-        cache.probe(&part, 2, NDirection::Up);
-        cache.evict_touched(1 << 1); // proc 1 moved, proc 2 did not
-        assert_eq!(cache.lookup(part.state_hash(), 1, NDirection::Down), None);
-        assert!(cache.lookup(part.state_hash(), 2, NDirection::Up).is_some());
     }
 }

@@ -89,18 +89,18 @@ pub enum EventKind {
     DfaPush {
         /// 1-based count of applied pushes so far.
         step: u64,
-        /// Active processor letter.
+        /// Active processor: its letter, or its index on `k` processors.
         proc: String,
         /// Direction arrow.
         dir: String,
-        /// Push type 1–6.
+        /// The ladder rung: push type 1–6, or mode 1–3 on `k` processors.
         push_type: u8,
-        /// Exact ΔVoC of the operation in element units (≤ 0).
+        /// Exact ΔVoC of the operation in line units (≤ 0).
         delta_voc: i64,
     },
-    /// A plan entry was attempted and no push type applied.
+    /// A plan entry was attempted and no rung of the ladder applied.
     DfaPushRejected {
-        /// Active processor letter.
+        /// Active processor: its letter, or its index on `k` processors.
         proc: String,
         /// Direction arrow.
         dir: String,

@@ -104,13 +104,11 @@ pub mod names {
     /// Occupied-line mask words examined by the enclosing-rect boundary
     /// shrink sweeps in `Partition::set` / `NPartition::set`.
     pub const GRID_SHRINK_WORD_SCANS: &str = "grid.shrink.word_scans";
-    /// Push-feasibility probes actually evaluated (cache misses included,
-    /// cache hits not).
+    /// Push-feasibility probes actually evaluated.
     pub const PUSH_PROBES: &str = "push.probe.evals";
-    /// Probe verdicts served from a hash-verified [`ProbeCache`] slot
-    /// instead of being re-evaluated.
-    ///
-    /// [`ProbeCache`]: https://docs.rs/hetmmm-push
+    /// Residual verdicts known from the final failed round: the plan's
+    /// pairs, which a DFA run that ends at a fixed point skips in its
+    /// residual check instead of probing them.
     pub const PUSH_PROBE_CACHE_HITS: &str = "push.probe.cache_hits";
 }
 

@@ -17,8 +17,9 @@
 //! [`NPartition`](hetmmm_partition::NPartition): the six types on three
 //! processors ([`op`]), and three strictness modes on `k` ([`modes`]).
 //! Phase 1 (the cleaned line and the candidate targets), phase 3 (pairing,
-//! swaps and the ΔVoC contract), the two grid views and the probe overlay
-//! are shared; only phase 2, which assigns displaced owners, differs.
+//! swaps and the ΔVoC contract), the two grid views, the probe overlay and
+//! the DFA walk are shared; only phase 2, which assigns displaced owners,
+//! differs.
 //!
 //! Modules:
 //! - [`op`]: directions, push types, the shared phase 3, and the atomic
@@ -30,12 +31,13 @@
 //!   ← and →, and the mutable grid view,
 //! - [`probe`]: clone-free feasibility probes ([`push_feasible`],
 //!   [`push_feasible_n`]) answered by the same kernel through a read-only
-//!   overlay, plus the hash-verified per-run verdict cache of the
-//!   three-processor search ([`ProbeCache`]),
+//!   overlay,
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
-//!   sets, random interleaving) with snapshot support (Fig. 7),
+//!   sets, random interleaving) with snapshot support (Fig. 7). One walk
+//!   runs it under either rule layer: [`DfaRunner`] for three processors,
+//!   [`walk_n`] for `hetmmm-nproc`'s k-processor runner,
 //! - [`beautify`]: exhaustive condensation in *all* directions, used to
-//!   finish Archetype C shapes (Theorem 8.3).
+//!   finish Archetype C shapes (Theorem 8.3); it stops by the walk's rule.
 
 pub mod beautify;
 pub mod dfa;
@@ -46,7 +48,7 @@ mod targets;
 mod view;
 
 pub use beautify::{beautify, is_condensed};
-pub use dfa::{DfaConfig, DfaOutcome, DfaRunner, PushPlan, Termination};
+pub use dfa::{walk_n, DfaConfig, DfaOutcome, DfaRunner, PushPlan, Termination};
 pub use modes::{try_push_mode, try_push_n, NAppliedPush, PushMode};
 pub use op::{try_push, try_push_any_type, AppliedPush, Direction, PushType};
-pub use probe::{push_feasible, push_feasible_n, ProbeCache, RuleLayer};
+pub use probe::{push_feasible, push_feasible_n};

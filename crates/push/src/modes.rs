@@ -50,11 +50,6 @@ pub struct NAppliedPush {
     pub delta_voc_units: i64,
     /// Swaps performed.
     pub swaps: usize,
-    /// Bitmask (bit = processor id, `k ≤ 64` by construction) of every
-    /// processor whose elements the push moved: the active processor plus
-    /// each displaced receiver: the slots a [`crate::ProbeCache`] would
-    /// evict ([`crate::ProbeCache::evict_touched`]).
-    pub touched_mask: u64,
 }
 
 /// Phase 2 under one mode — assign an owner to each vacated position —
@@ -168,7 +163,6 @@ fn try_ladder(
             mode,
             delta_voc_units: out.delta,
             swaps: out.swaps,
-            touched_mask: out.touched_mask,
         })
     })
 }

@@ -43,7 +43,7 @@
 
 use crate::targets::{prepare, Candidates, LineGrid};
 use crate::view::View;
-use hetmmm_partition::{Partition, Proc};
+use hetmmm_partition::{NPartition, Partition, Proc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -206,11 +206,6 @@ pub struct AppliedPush {
     /// Number of element swaps performed (= active elements in the cleaned
     /// line).
     pub swaps: usize,
-    /// Which processors' elements the push moved — the active processor
-    /// plus every displaced receiver — as a bitmask over `Proc::q()`. The
-    /// DFA uses this to evict probe-cache entries for exactly the
-    /// processors whose occupancy changed.
-    pub touched_mask: u64,
 }
 
 /// Canonical-coordinate grid accessors the push kernel needs, on top of
@@ -238,8 +233,6 @@ pub(crate) struct AttemptOutcome {
     pub(crate) delta: i64,
     /// Swaps performed.
     pub(crate) swaps: usize,
-    /// Bitmask of the owners whose elements moved.
-    pub(crate) touched_mask: u64,
 }
 
 /// Phase 3 of a push, shared by both rule layers — pair each cleaned
@@ -266,7 +259,6 @@ pub(crate) fn commit<G: PushGrid>(
     let mut journal: Vec<((usize, usize), (usize, usize))> = Vec::with_capacity(prep.cleaned.len());
     let mut dirty_used = 0usize;
     let mut next_target = vec![0usize; prep.owners.len()];
-    let mut touched_mask = 0u64;
     let mut ok = true;
 
     'elems: for (&v, &slot) in prep.cleaned.iter().zip(assignment) {
@@ -296,7 +288,6 @@ pub(crate) fn commit<G: PushGrid>(
             }
             view.swap((k, v), (g, h));
             journal.push(((k, v), (g, h)));
-            touched_mask |= 1u64 << prep.owners[slot];
             dirty_used += cost;
             break;
         }
@@ -323,7 +314,6 @@ pub(crate) fn commit<G: PushGrid>(
     Some(AttemptOutcome {
         delta,
         swaps: journal.len(),
-        touched_mask: touched_mask | 1u64 << proc,
     })
 }
 
@@ -440,7 +430,7 @@ pub fn try_push(
     dir: Direction,
     ty: PushType,
 ) -> Option<AppliedPush> {
-    try_ladder(part, proc, dir, &[ty])
+    try_ladder(part.grid_mut(), proc.q(), dir, &[ty])
 }
 
 /// Try each push type in order (1 → 6) and apply the first that is legal.
@@ -462,32 +452,32 @@ pub fn try_push(
 /// assert!(part.voc() < voc_before);
 /// ```
 pub fn try_push_any_type(part: &mut Partition, proc: Proc, dir: Direction) -> Option<AppliedPush> {
-    try_ladder(part, proc, dir, &PushType::ALL)
+    try_ladder(part.grid_mut(), proc.q(), dir, &PushType::ALL)
 }
 
-/// Apply the first of `ladder`'s types under which the push is legal.
-fn try_ladder(
-    part: &mut Partition,
-    proc: Proc,
+/// Apply the first of `ladder`'s types under which a push of owner `proc`
+/// is legal, on a three-owner plane store (the DFA walk calls it
+/// directly).
+pub(crate) fn try_ladder(
+    grid: &mut NPartition,
+    proc: u8,
     dir: Direction,
     ladder: &[PushType],
 ) -> Option<AppliedPush> {
-    let grid = part.grid_mut();
     let (k, voc_before) = (grid.k(), grid.voc_units() as i64);
     let mut view = View::new(grid, dir);
     // Phase 1 is type-independent (and failed attempts roll back exactly),
     // so compute it once instead of once per type.
-    let prep = prepare(&view, proc.q(), k)?;
+    let prep = prepare(&view, proc, k)?;
     ladder.iter().find_map(|&ty| {
         let _span = hetmmm_obs::fine_span_arg("push.apply", ty as u64 + 1);
-        let out = attempt(&mut view, proc.q(), ty, &prep, voc_before)?;
+        let out = attempt(&mut view, proc, ty, &prep, voc_before)?;
         Some(AppliedPush {
-            proc,
+            proc: Proc::from_q(proc),
             dir,
             ty,
             delta_voc_units: out.delta,
             swaps: out.swaps,
-            touched_mask: out.touched_mask,
         })
     })
 }

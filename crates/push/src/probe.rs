@@ -1,10 +1,11 @@
 //! Clone-free push-feasibility probes.
 //!
 //! [`push_feasible`] answers "would *any* type of push of `proc` in `dir`
-//! be legal?" — the question the DFA's end condition and `beautify`'s
-//! progress check ask twelve times per fixed-point test — without cloning
-//! the partition or mutating it; [`push_feasible_n`] asks the same of the
-//! k-processor modes.
+//! be legal?" — the question the DFA's residual check and
+//! [`crate::is_condensed`] ask of 8 pairs (2 pushable processors × 4
+//! directions) per fixed-point test — without cloning the partition or
+//! mutating it; [`push_feasible_n`] asks the same of the k-processor
+//! modes.
 //!
 //! ## How it stays exact
 //!
@@ -20,10 +21,9 @@
 //! implementation that could drift from the real one.
 //!
 //! The overlay is O(cleaned-line) in size and reused across probes (via a
-//! thread-local in [`push_feasible`], or owned by a [`ProbeCache`]), so a
-//! probe allocates nothing in steady state. The old clone-based probe
-//! cloned the full O(N²) grid *per question*; see `DESIGN.md` §11 for the
-//! measured effect.
+//! thread-local), so a probe allocates nothing in steady state. The old
+//! clone-based probe cloned the full O(N²) grid *per question*; see
+//! `DESIGN.md` §11 for the measured effect.
 
 use crate::modes::{self, PushMode};
 use crate::op::{self, Direction, PushGrid, PushType};
@@ -210,9 +210,9 @@ impl PushGrid for ProbeView<'_> {
     }
 }
 
-/// The rule layer a probe decides a push with.
+/// The rule layer that decides a push, for probes and for the DFA walk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RuleLayer {
+pub(crate) enum RuleLayer {
     /// The paper's six push types on three processors, tried One to Six
     /// ([`crate::try_push_any_type`]).
     Types,
@@ -221,35 +221,51 @@ pub enum RuleLayer {
     Modes,
 }
 
-/// Would a push of `proc` in `dir` be legal under any rung of `layer`'s
-/// ladder? Decided against caller-owned scratch storage; every failed
-/// rung rolls back, so the rungs see the same grid.
-fn feasible_with(
-    scratch: &mut ProbeScratch,
-    part: &NPartition,
-    proc: u8,
-    dir: Direction,
-    layer: RuleLayer,
-) -> bool {
-    let _span = obs::fine_span("push.probe");
-    if obs::metrics_enabled() {
-        obs::metrics()
-            .counter(obs::metrics::names::PUSH_PROBES)
-            .inc();
+impl RuleLayer {
+    /// Apply the first rung of the ladder under which a push of `proc` in
+    /// `dir` is legal. Returns the rung (the push type or mode, counted
+    /// from 0 in ladder order) and the exact ΔVoC in line units.
+    pub(crate) fn apply(
+        self,
+        part: &mut NPartition,
+        proc: u8,
+        dir: Direction,
+    ) -> Option<(usize, i64)> {
+        match self {
+            RuleLayer::Types => op::try_ladder(part, proc, dir, &PushType::ALL)
+                .map(|applied| (applied.ty as usize, applied.delta_voc_units)),
+            RuleLayer::Modes => modes::try_push_n(part, proc, dir)
+                .map(|applied| (applied.mode as usize, applied.delta_voc_units)),
+        }
     }
-    scratch.reset();
-    let voc_before = part.voc_units() as i64;
-    let mut view = ProbeView::new(part, scratch, dir);
-    let Some(prep) = prepare(&view, proc, part.k()) else {
-        return false;
-    };
-    match layer {
-        RuleLayer::Types => PushType::ALL
-            .iter()
-            .any(|&ty| op::attempt(&mut view, proc, ty, &prep, voc_before).is_some()),
-        RuleLayer::Modes => PushMode::ALL
-            .iter()
-            .any(|&mode| modes::attempt(&mut view, proc, mode, &prep, voc_before).is_some()),
+
+    /// Would a push of `proc` in `dir` be legal under any rung of the
+    /// ladder? Decided against the thread's reusable overlay; every failed
+    /// rung rolls back, so the rungs see the same grid.
+    fn feasible(self, part: &NPartition, proc: u8, dir: Direction) -> bool {
+        let _span = obs::fine_span("push.probe");
+        if obs::metrics_enabled() {
+            obs::metrics()
+                .counter(obs::metrics::names::PUSH_PROBES)
+                .inc();
+        }
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.reset();
+            let voc_before = part.voc_units() as i64;
+            let mut view = ProbeView::new(part, &mut scratch, dir);
+            let Some(prep) = prepare(&view, proc, part.k()) else {
+                return false;
+            };
+            match self {
+                RuleLayer::Types => PushType::ALL
+                    .iter()
+                    .any(|&ty| op::attempt(&mut view, proc, ty, &prep, voc_before).is_some()),
+                RuleLayer::Modes => PushMode::ALL.iter().any(|&mode| {
+                    modes::attempt(&mut view, proc, mode, &prep, voc_before).is_some()
+                }),
+            }
+        })
     }
 }
 
@@ -277,15 +293,7 @@ thread_local! {
 /// assert_eq!(part.get(1, 2), Proc::R);
 /// ```
 pub fn push_feasible(part: &Partition, proc: Proc, dir: Direction) -> bool {
-    SCRATCH.with(|scratch| {
-        feasible_with(
-            &mut scratch.borrow_mut(),
-            part.grid(),
-            proc.q(),
-            dir,
-            RuleLayer::Types,
-        )
-    })
+    RuleLayer::Types.feasible(part.grid(), proc.q(), dir)
 }
 
 /// Non-mutating query: would a push of `proc` in `dir` be legal under any
@@ -293,85 +301,7 @@ pub fn push_feasible(part: &Partition, proc: Proc, dir: Direction) -> bool {
 /// against the same reusable overlay — no clone of the `O(N²)` grid, safe
 /// on a shared reference.
 pub fn push_feasible_n(part: &NPartition, proc: u8, dir: Direction) -> bool {
-    SCRATCH
-        .with(|scratch| feasible_with(&mut scratch.borrow_mut(), part, proc, dir, RuleLayer::Modes))
-}
-
-/// Hash-verified probe-verdict cache for one search run.
-///
-/// One slot per `(owner, direction)` pair holds the grid
-/// [`state_hash`](NPartition::state_hash) a verdict was computed at. A
-/// lookup hits only on an **exact hash match** — that is what makes the
-/// cache sound: a push by one processor can flip another processor's probe
-/// verdict (the swap rewrites cells of a displaced receiver), so
-/// "invalidate only the touched processors" alone would serve stale
-/// verdicts. [`ProbeCache::evict_touched`] is still worth calling after a
-/// successful push — it is eviction hygiene that keeps slots from pinning
-/// hashes that can never match again — but correctness never depends on it.
-#[derive(Debug)]
-pub struct ProbeCache {
-    layer: RuleLayer,
-    scratch: ProbeScratch,
-    /// `(state hash, verdict)` per slot; slot = `owner * 4 + dir`.
-    slots: Vec<Option<(u64, bool)>>,
-}
-
-impl ProbeCache {
-    /// An empty cache for a search over `k` owners whose pushes `layer`
-    /// decides.
-    pub fn new(k: usize, layer: RuleLayer) -> ProbeCache {
-        ProbeCache {
-            layer,
-            scratch: ProbeScratch::default(),
-            slots: vec![None; k * Direction::ALL.len()],
-        }
-    }
-
-    fn slot(proc: u8, dir: Direction) -> usize {
-        proc as usize * Direction::ALL.len() + dir.index()
-    }
-
-    /// Cached verdict for `(proc, dir)` at exactly `hash`, if any.
-    pub fn lookup(&self, hash: u64, proc: u8, dir: Direction) -> Option<bool> {
-        let (h, verdict) = self.slots[Self::slot(proc, dir)]?;
-        if h != hash {
-            return None;
-        }
-        if obs::metrics_enabled() {
-            obs::metrics()
-                .counter(obs::metrics::names::PUSH_PROBE_CACHE_HITS)
-                .inc();
-        }
-        Some(verdict)
-    }
-
-    /// Record a verdict computed at `hash`.
-    pub fn record(&mut self, hash: u64, proc: u8, dir: Direction, verdict: bool) {
-        self.slots[Self::slot(proc, dir)] = Some((hash, verdict));
-    }
-
-    /// Probe through the cache: serve a hash-matching slot, otherwise
-    /// evaluate with the cache's own scratch and fill the slot.
-    pub fn probe(&mut self, part: &NPartition, proc: u8, dir: Direction) -> bool {
-        let hash = part.state_hash();
-        if let Some(verdict) = self.lookup(hash, proc, dir) {
-            return verdict;
-        }
-        let verdict = feasible_with(&mut self.scratch, part, proc, dir, self.layer);
-        self.record(hash, proc, dir, verdict);
-        verdict
-    }
-
-    /// Drop the slots of every owner in `touched_mask` (bit = owner id), as
-    /// reported by a successful push (see the type-level docs: hygiene,
-    /// not a correctness mechanism).
-    pub fn evict_touched(&mut self, touched_mask: u64) {
-        for (owner, slots) in self.slots.chunks_mut(Direction::ALL.len()).enumerate() {
-            if touched_mask >> owner & 1 == 1 {
-                slots.fill(None);
-            }
-        }
-    }
+    RuleLayer::Modes.feasible(part, proc, dir)
 }
 
 #[cfg(test)]
@@ -382,9 +312,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    const R: u8 = Proc::R as u8;
-    const S: u8 = Proc::S as u8;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -456,35 +383,5 @@ mod tests {
             assert!(!push_feasible(&part, Proc::R, dir));
             assert!(!push_feasible(&part, Proc::S, dir));
         }
-    }
-
-    #[test]
-    fn cache_hits_only_on_exact_hash() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let part = random_partition(10, Ratio::new(2, 1, 1), &mut rng);
-        let mut cache = ProbeCache::new(3, RuleLayer::Types);
-        let verdict = cache.probe(part.grid(), R, Direction::Down);
-        // Same state: served from the slot.
-        assert_eq!(
-            cache.lookup(part.state_hash(), R, Direction::Down),
-            Some(verdict)
-        );
-        // Any other hash must miss.
-        assert_eq!(
-            cache.lookup(part.state_hash() ^ 1, R, Direction::Down),
-            None
-        );
-    }
-
-    #[test]
-    fn cache_eviction_clears_touched_processors_only() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let part = random_partition(10, Ratio::new(2, 1, 1), &mut rng);
-        let mut cache = ProbeCache::new(3, RuleLayer::Types);
-        cache.probe(part.grid(), R, Direction::Down);
-        cache.probe(part.grid(), S, Direction::Up);
-        cache.evict_touched(1 << R); // R moved, S did not
-        assert_eq!(cache.lookup(part.state_hash(), R, Direction::Down), None);
-        assert!(cache.lookup(part.state_hash(), S, Direction::Up).is_some());
     }
 }

@@ -22,9 +22,10 @@ type ThreeProcRow = (
     u64,
 );
 
-// One row per line keeps the table reviewable.
+// One row per line keeps the table reviewable. The last three are at
+// the paper's N = 1000: 16 plane words per line, the last one partial.
 #[rustfmt::skip]
-const THREE_PROC: [ThreeProcRow; 18] = [
+const THREE_PROC: [ThreeProcRow; 21] = [
     (65, (2, 1, 1), 1, 110, 9360, Termination::FixedPoint, [107, 0, 1, 0, 2, 0], 0, 0xf03bc88197c6919c),
     (65, (2, 1, 1), 2, 79, 9555, Termination::FixedPoint, [39, 0, 18, 0, 0, 22], 0, 0x7499e4bcb8f7f35c),
     (65, (2, 1, 1), 3, 94, 10140, Termination::FixedPoint, [90, 0, 0, 0, 3, 1], 0, 0xc15fac0288f2872b),
@@ -43,6 +44,9 @@ const THREE_PROC: [ThreeProcRow; 18] = [
     (100, (10, 1, 1), 1, 211, 12400, Termination::FixedPoint, [199, 0, 0, 0, 12, 0], 0, 0x8eabd6591e06281b),
     (100, (10, 1, 1), 2, 203, 16300, Termination::FixedPoint, [203, 0, 0, 0, 0, 0], 3, 0x8ed4341e613a6255),
     (100, (10, 1, 1), 3, 252, 11700, Termination::FixedPoint, [229, 0, 0, 0, 23, 0], 0, 0x02d94b591dd5717b),
+    (1000, (2, 1, 1), 1, 1684, 2062000, Termination::FixedPoint, [1683, 0, 1, 0, 0, 0], 0, 0xd131aa3bb79cd659),
+    (1000, (5, 2, 1), 1, 1565, 2291000, Termination::FixedPoint, [1565, 0, 0, 0, 0, 0], 1, 0xc462d4c3a4aaedeb),
+    (1000, (10, 1, 1), 1, 2493, 1360000, Termination::FixedPoint, [2223, 0, 0, 0, 270, 0], 0, 0x5423a06276b09eb2),
 ];
 
 /// `(weights, seed, steps, voc_final, converged, cycled, state hash)` of

@@ -125,12 +125,12 @@ fn paired_gate_passes_against_its_own_binary() {
     };
     assert!(
         counter("push.probe.cache_hits").unwrap_or(0) > 0,
-        "warm DFA workload must exercise the probe cache: {:?}",
+        "DFA workload's residual checks must count the plan pairs they skip: {:?}",
         cache.counters
     );
     assert!(
         counter("push.probe.evals").unwrap_or(0) > 0,
-        "warm DFA workload still pays kernel evals on misses: {:?}",
+        "DFA workload's residual checks must probe the off-plan pairs: {:?}",
         cache.counters
     );
 }

@@ -13,7 +13,9 @@
 //!   (`trailing_zeros` / `leading_zeros` over the occupied-line masks)
 //!   instead of per-line count walks,
 //! - the Push engine can sweep a whole canonical line 64 cells at a time
-//!   via [`NPartition::row_plane_word`] / [`NPartition::col_plane_word`].
+//!   via [`NPartition::row_plane_word`] / [`NPartition::col_plane_word`],
+//!   and skip a line's empty words by its nonzero-word summary
+//!   ([`NPartition::row_nonzero_words`] / [`NPartition::col_nonzero_words`]).
 //!
 //! Besides the raw planes it maintains, under every mutation:
 //!
@@ -44,6 +46,15 @@
 //! (LSB-first). The tail word of each line keeps its unused high bits at
 //! zero — [`NPartition::set`] never touches them — so popcounts and word
 //! sweeps need no per-call tail masking.
+//!
+//! Beside the planes, each orientation keeps one summary bit per plane
+//! word, set iff the word is nonzero: bit `at % 64` of summary word
+//! `at / 64` for plane word `at`. The summary is packed across lines, so
+//! it costs 1/64 of the planes, and one line's summary may straddle two
+//! summary words. Like the state hash it is computed on the first read
+//! and maintained by every mutation after that, so a grid that never
+//! runs phase 1 of a push (a candidate shape, a random start before its
+//! search) never pays for it.
 
 use crate::bits::{full_line, next_occupied, prev_occupied};
 use crate::proc_::Proc;
@@ -148,6 +159,34 @@ impl Deserialize for Zobrist {
     }
 }
 
+/// The nonzero-word summary of one orientation's planes (see [`Lines`]):
+/// empty until the first read, which computes it from the planes; every
+/// mutation after that keeps it current. Like [`Zobrist`], it takes no
+/// part in equality (equal planes give equal summaries) and serializes as
+/// `null`.
+#[derive(Clone, Debug, Default)]
+struct Summary(OnceLock<Vec<u64>>);
+
+impl PartialEq for Summary {
+    fn eq(&self, _: &Summary) -> bool {
+        true
+    }
+}
+
+impl Eq for Summary {}
+
+impl Serialize for Summary {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for Summary {
+    fn from_value(_: &serde::Value) -> Result<Summary, serde::DeError> {
+        Ok(Summary::default())
+    }
+}
+
 /// SplitMix64 finalizer: a high-quality 64-bit mixer used to derive the
 /// per-(cell, owner) Zobrist keys without storing a table.
 #[inline]
@@ -165,6 +204,9 @@ struct Lines {
     /// Bit `v % 64` of word `(p * n + u) * words + v / 64` is set iff cell
     /// `v` of line `u` belongs to owner `p`.
     bits: Vec<u64>,
+    /// Bit `at % 64` of word `at / 64` is set iff plane word `bits[at]` is
+    /// nonzero, once first read.
+    nonzero: Summary,
     /// Bit `u % 64` of word `p * words + u / 64` is set iff line `u` holds
     /// any cell of owner `p`.
     occ: Vec<u64>,
@@ -188,11 +230,48 @@ impl Lines {
         let mut count = vec![0u32; k * n];
         count[fill * n..(fill + 1) * n].fill(n as u32);
         Lines {
+            nonzero: Summary::default(),
             bits,
             occ,
             count,
             procs: vec![1; n],
         }
+    }
+
+    /// Plane word `at` just gained bits: mark it nonzero in the summary.
+    #[inline(always)]
+    fn word_gained(&mut self, at: usize) {
+        if let Some(nonzero) = self.nonzero.0.get_mut() {
+            nonzero[at / 64] |= 1u64 << (at % 64);
+        }
+    }
+
+    /// Plane word `at` just lost bits: clear its summary bit if it emptied.
+    #[inline(always)]
+    fn word_lost(&mut self, at: usize) {
+        if let Some(nonzero) = self.nonzero.0.get_mut() {
+            if self.bits[at] == 0 {
+                nonzero[at / 64] &= !(1u64 << (at % 64));
+            }
+        }
+    }
+
+    /// Bit `b` is set iff word `w + b` of owner `p`'s line `u` is nonzero,
+    /// for the (at most 64) words of the line from `w` on; higher bits are
+    /// zero.
+    #[inline]
+    fn nonzero_words(&self, (n, words): (usize, usize), p: usize, u: usize, w: usize) -> u64 {
+        let nonzero = self.nonzero.0.get_or_init(|| summarize(&self.bits));
+        let at = (p * n + u) * words + w;
+        let (i, shift, left) = (at / 64, at % 64, (words - w).min(64));
+        let mut m = nonzero[i] >> shift;
+        if shift + left > 64 {
+            m |= nonzero[i + 1] << (64 - shift);
+        }
+        if left < 64 {
+            m &= (1u64 << left) - 1;
+        }
+        m
     }
 
     /// Move cell `v` of line `u` from owner `old` to owner `new`, updating
@@ -211,8 +290,14 @@ impl Lines {
         voc_units: &mut u64,
     ) -> bool {
         let bit = 1u64 << (v % 64);
-        self.bits[(old * n + u) * words + v / 64] &= !bit;
-        self.bits[(new * n + u) * words + v / 64] |= bit;
+        let (from, to) = (
+            (old * n + u) * words + v / 64,
+            (new * n + u) * words + v / 64,
+        );
+        self.bits[from] &= !bit;
+        self.bits[to] |= bit;
+        self.word_lost(from);
+        self.word_gained(to);
         let occ_bit = 1u64 << (u % 64);
         let gained = &mut self.count[new * n + u];
         if *gained == 0 {
@@ -262,8 +347,11 @@ impl Lines {
                     let at = (o * n + u) * words + w;
                     let bits = self.bits[at] & span(w);
                     if bits != 0 {
+                        let to = (p * n + u) * words + w;
                         self.bits[at] ^= bits;
-                        self.bits[(p * n + u) * words + w] |= bits;
+                        self.bits[to] |= bits;
+                        self.word_lost(at);
+                        self.word_gained(to);
                         lost += bits.count_ones();
                         taken(o, u, w, bits);
                     }
@@ -314,6 +402,15 @@ impl Lines {
         }
         mask.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// The nonzero-word summary of `bits` (see [`Lines::nonzero`]).
+fn summarize(bits: &[u64]) -> Vec<u64> {
+    let mut nonzero = vec![0u64; bits.len().div_ceil(64)];
+    for (at, &word) in bits.iter().enumerate() {
+        nonzero[at / 64] |= u64::from(word != 0) << (at % 64);
+    }
+    nonzero
 }
 
 /// A partition of an `n x n` matrix among `k` owners `0..k`.
@@ -442,6 +539,24 @@ impl NPartition {
         self.cols.bits[(p as usize * self.n + j) * self.words + w]
     }
 
+    /// Which of owner `p`'s row-plane line `i` words from `w` on are
+    /// nonzero, read from the summary: bit `b` is set iff word `w + b` of
+    /// the line ([`NPartition::row_plane_word`]) is, for up to 64 words;
+    /// bits past the line's last word are zero.
+    #[inline]
+    pub fn row_nonzero_words(&self, p: u8, i: usize, w: usize) -> u64 {
+        self.rows
+            .nonzero_words((self.n, self.words), p as usize, i, w)
+    }
+
+    /// [`NPartition::row_nonzero_words`] for owner `p`'s column-plane line
+    /// `j`.
+    #[inline]
+    pub fn col_nonzero_words(&self, p: u8, j: usize, w: usize) -> u64 {
+        self.cols
+            .nonzero_words((self.n, self.words), p as usize, j, w)
+    }
+
     /// Owner of cell `(i, j)`: a probe of the row planes in owner order.
     /// Every cell is owned exactly once, so a miss on the first `k - 1`
     /// planes means the last one.
@@ -476,6 +591,15 @@ impl NPartition {
     pub fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
         let pa = self.get(a.0, a.1);
         let pb = self.get(b.0, b.1);
+        self.swap_owned(a, pa, b, pb);
+    }
+
+    /// [`NPartition::swap`] for a caller that knows the owners: cell `a`
+    /// belongs to `pa` and cell `b` to `pb`, and neither is read. A no-op
+    /// if they match.
+    pub fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8) {
+        debug_assert_eq!(self.get(a.0, a.1), pa, "owner of {a:?}");
+        debug_assert_eq!(self.get(b.0, b.1), pb, "owner of {b:?}");
         if pa != pb {
             self.move_cell(a.0, a.1, pa, pb);
             self.move_cell(b.0, b.1, pb, pa);
@@ -724,8 +848,9 @@ impl NPartition {
 
     /// Fully recompute every derived count from the raw bit-planes and
     /// panic on any mismatch, including plane mutual-exclusion/coverage,
-    /// the transposed column planes, occupied-line masks, and tail-bit
-    /// hygiene. Test/debug aid; `O(k N²)`.
+    /// the transposed column planes, occupied-line masks, the
+    /// nonzero-word summaries, and tail-bit hygiene. Test/debug aid;
+    /// `O(k N²)`.
     pub fn assert_invariants(&self) {
         let (n, k, words) = (self.n, self.k, self.words);
         assert_eq!(words, n.div_ceil(64), "words_per_line drift");
@@ -769,6 +894,15 @@ impl NPartition {
                         "occupancy tail junk"
                     );
                 }
+            }
+        }
+        for (lines, what) in [(&self.rows, "row"), (&self.cols, "col")] {
+            if let Some(nonzero) = lines.nonzero.0.get() {
+                assert_eq!(
+                    nonzero,
+                    &summarize(&lines.bits),
+                    "{what} nonzero-word summary drift"
+                );
             }
         }
         let mut row_count = vec![0u32; k * n];
@@ -1587,6 +1721,109 @@ mod tests {
             proptest::prop_assert!(lazy.zobrist.0.get().is_none());
             proptest::prop_assert_eq!(lazy.state_hash(), reference.state_hash());
             lazy.assert_invariants();
+        }
+    }
+
+    /// Every owner's row and column summaries read back, from every word
+    /// on, exactly which plane words are nonzero.
+    fn assert_summaries_read_back(part: &NPartition) {
+        let words = part.words_per_line();
+        let expect = |word: &dyn Fn(usize) -> u64, w: usize| {
+            (w..words)
+                .take(64)
+                .enumerate()
+                .fold(0u64, |m, (b, x)| m | u64::from(word(x) != 0) << b)
+        };
+        for p in 0..part.k() as u8 {
+            for u in 0..part.n() {
+                for w in 0..words {
+                    let row = expect(&|x| part.row_plane_word(p, u, x), w);
+                    let col = expect(&|x| part.col_plane_word(p, u, x), w);
+                    assert_eq!(
+                        part.row_nonzero_words(p, u, w),
+                        row,
+                        "row {u} of {p} from {w}"
+                    );
+                    assert_eq!(
+                        part.col_nonzero_words(p, u, w),
+                        col,
+                        "col {u} of {p} from {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The nonzero-word summaries follow the planes through random
+        /// `set`, `swap` and `fill_rect` churn, words emptying included.
+        #[test]
+        fn nonzero_summaries_track_set_swap_and_fill_churn(
+            seed in 0u64..1_000_000,
+            k in 3usize..=6,
+            size in 0usize..5,
+        ) {
+            use rand::RngExt;
+            let n = [1, 63, 64, 65, 130][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weights: Vec<u32> = (0..k).map(|_| rng.random_range(1..=4)).collect();
+            let mut part = NPartition::random(n, &weights, &mut rng);
+            assert_summaries_read_back(&part);
+            for _ in 0..24 {
+                let cell = |rng: &mut StdRng| (rng.random_range(0..n), rng.random_range(0..n));
+                let p = rng.random_range(0..k) as u8;
+                match rng.random_range(0..3) {
+                    0 => {
+                        let (i, j) = cell(&mut rng);
+                        part.set(i, j, p);
+                    }
+                    1 => {
+                        let (a, b) = (cell(&mut rng), cell(&mut rng));
+                        part.swap(a, b);
+                    }
+                    _ => {
+                        let rect = arb_rect(&part, &mut rng);
+                        part.fill_rect(rect, p);
+                    }
+                }
+                assert_summaries_read_back(&part);
+            }
+            part.assert_invariants();
+        }
+    }
+
+    /// Past 4096 columns a line has more than 64 plane words, so its
+    /// summary spans two summary words (and at 65 words per line, most
+    /// lines start mid-word).
+    #[test]
+    fn nonzero_summaries_span_two_words_on_wide_lines() {
+        let n = 4160;
+        let mut part = NPartition::new(n, 3);
+        assert_eq!(part.words_per_line(), 65);
+        // A summary is computed on its first read. Read both first, so that
+        // the mutations below maintain them.
+        assert!(part.rows.nonzero.0.get().is_none());
+        part.row_nonzero_words(0, 0, 0);
+        part.col_nonzero_words(0, 0, 0);
+        for j in [0, 4096, 4159] {
+            part.set(5, j, 1);
+        }
+        part.fill_rect(Rect::new(7, 9, 4000, 4159), 2);
+        part.swap((5, 4096), (8, 4100));
+        // Row 5 of owner 1: words 0 and 64 (column 4159), not 4096 after
+        // the swap took it.
+        assert_eq!(part.row_nonzero_words(1, 5, 0), 1);
+        assert_eq!(part.row_nonzero_words(1, 5, 1), 1 << 63);
+        assert_eq!(part.row_nonzero_words(1, 5, 64), 1);
+        assert_eq!(part.row_nonzero_words(2, 5, 64), 1);
+        // Row 8 of owner 2: words 62 to 64, less nothing (4100 is word 64).
+        assert_eq!(part.row_nonzero_words(2, 8, 0), 0b11 << 62);
+        assert_eq!(part.row_nonzero_words(2, 8, 62), 0b111);
+        assert_eq!(part.row_nonzero_words(0, 8, 0), (1 << 63) - 1);
+        for lines in [&part.rows, &part.cols] {
+            assert_eq!(lines.nonzero.0.get(), Some(&summarize(&lines.bits)));
         }
     }
 

@@ -221,8 +221,15 @@ pub struct AppliedPush {
 pub(crate) trait PushGrid: LineGrid {
     /// Owner of canonical cell `(u, v)`.
     fn get(&self, u: usize, v: usize) -> u8;
-    /// Swap two canonical cells.
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize));
+    /// Swap canonical cells `a` and `b`, which belong to `pa` and `pb`,
+    /// without reading either. A no-op if the owners match.
+    fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8);
+    /// Swap two canonical cells, reading their owners first.
+    #[cfg(test)]
+    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+        let (pa, pb) = (self.get(a.0, a.1), self.get(b.0, b.1));
+        self.swap_owned(a, pa, b, pb);
+    }
     /// VoC line units of the underlying grid.
     fn voc_units(&self) -> u64;
 }
@@ -256,22 +263,26 @@ pub(crate) fn commit<G: PushGrid>(
     voc_before: i64,
 ) -> Option<AttemptOutcome> {
     let k = prep.line;
-    let mut journal: Vec<((usize, usize), (usize, usize))> = Vec::with_capacity(prep.cleaned.len());
+    // `(v, target, owner)` per swap: cleaned cell `(k, v)` now holds the
+    // target's owner, and the target holds `proc`.
+    let mut journal: Vec<(usize, (usize, usize), u8)> = Vec::with_capacity(prep.cleaned.len());
     let mut dirty_used = 0usize;
     let mut next_target = vec![0usize; prep.owners.len()];
     let mut ok = true;
 
     'elems: for (&v, &slot) in prep.cleaned.iter().zip(assignment) {
+        let owner = prep.owners[slot];
         loop {
             let Some(&(g, h)) = prep.owner_targets[slot].get(next_target[slot]) else {
                 ok = false;
                 break 'elems;
             };
             next_target[slot] += 1;
-            // The cell may have been taken by an earlier swap of this push.
-            if view.get(g, h) == proc {
-                continue;
-            }
+            // A slot's targets are distinct cells of its owner below line
+            // `k`, each popped once; a swap changes only line `k` and the
+            // popped target, and a failed attempt rolls back exactly. So
+            // the target still belongs to its owner.
+            debug_assert_eq!(view.get(g, h), owner, "target ({g}, {h}) changed owner");
             // Active side: may the cleaned element land at (g, h)?
             // "already containing elements of X" must not count the
             // elements sitting in the cleaned line itself, which all leave.
@@ -286,8 +297,8 @@ pub(crate) fn commit<G: PushGrid>(
             if !admissible(cost, dirty_used) {
                 continue;
             }
-            view.swap((k, v), (g, h));
-            journal.push(((k, v), (g, h)));
+            view.swap_owned((k, v), proc, (g, h), owner);
+            journal.push((v, (g, h), owner));
             dirty_used += cost;
             break;
         }
@@ -301,8 +312,8 @@ pub(crate) fn commit<G: PushGrid>(
     };
     if !ok || !contract_ok {
         // Roll back every swap in reverse order.
-        for &(a, b) in journal.iter().rev() {
-            view.swap(a, b);
+        for &(v, target, owner) in journal.iter().rev() {
+            view.swap_owned((k, v), owner, target, proc);
         }
         debug_assert_eq!(
             view.voc_units() as i64,

@@ -20,10 +20,12 @@
 //! and because the kernel is shared there is no second legality
 //! implementation that could drift from the real one.
 //!
-//! The overlay is O(cleaned-line) in size and reused across probes (via a
-//! thread-local), so a probe allocates nothing in steady state. The old
-//! clone-based probe cloned the full O(N²) grid *per question*; see
-//! `DESIGN.md` §11 for the measured effect.
+//! The overlay is O(cleaned-line) in size, hashed so that each lookup is
+//! O(1) however many cells a probe has swapped (a residual probe swaps a
+//! whole cleaned line, hundreds of cells at N = 1000), and reused across
+//! probes (via a thread-local), so a probe allocates nothing in steady
+//! state. The old clone-based probe cloned the full O(N²) grid *per
+//! question*; see `DESIGN.md` §11 for the measured effect.
 
 use crate::modes::{self, PushMode};
 use crate::op::{self, Direction, PushGrid, PushType};
@@ -32,6 +34,33 @@ use crate::view::{Axis, Frame};
 use hetmmm_obs as obs;
 use hetmmm_partition::{NPartition, Partition, Proc};
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The overlay's hasher: one multiply per `u32` key. The keys are cell
+/// and line indices of one grid, which no adversary picks, so SipHash
+/// would only slow every lookup down.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, key: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(key)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by overlay index.
+type KeyMap<V> = HashMap<u32, V, BuildHasherDefault<KeyHasher>>;
 
 /// Reusable overlay storage for one probe at a time. Cheap to keep around,
 /// cleared (not freed) between probes.
@@ -39,16 +68,16 @@ use std::cell::RefCell;
 /// All maps are sparse, keyed by the lines/cells a probe actually touches
 /// — O(cleaned-line) entries — instead of mirroring `n`-sized per-cell or
 /// per-line state, so the scratch needs no sizing step and is identical
-/// for every grid size and owner count.
+/// for every grid size and owner count. They are hashed, not scanned: a
+/// residual probe swaps a whole cleaned line (hundreds of cells at
+/// N = 1000), and every swap looks up cells and line counts.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
-    /// Overlay cell assignments as `(flat index, owner)`. Linear-scanned:
-    /// a probe touches at most one cleaned line's worth of cells.
-    cells: Vec<(u32, u8)>,
+    /// Overlay cell assignments, flat index to owner.
+    cells: KeyMap<u8>,
     /// Per-(owner, line) element-count deltas relative to the base, keyed
-    /// by `owner * n + line`; one list per [`Axis`]. Linear-scanned like
-    /// `cells`.
-    deltas: [Vec<(u32, i32)>; 2],
+    /// by `owner * n + line`; one map per [`Axis`].
+    deltas: [KeyMap<i32>; 2],
     /// Overlay ΔVoC in line units relative to the base.
     voc_delta: i64,
 }
@@ -57,7 +86,7 @@ impl ProbeScratch {
     /// Empty the overlay without freeing its storage.
     fn reset(&mut self) {
         self.cells.clear();
-        self.deltas.iter_mut().for_each(Vec::clear);
+        self.deltas.iter_mut().for_each(KeyMap::clear);
         self.voc_delta = 0;
     }
 }
@@ -86,26 +115,28 @@ impl<'a> ProbeView<'a> {
         }
     }
 
-    /// Owner of real cell `(i, j)`, overlay first.
+    /// Owner of real cell `(i, j)`, overlay first. Phase 1 runs before any
+    /// swap, so an empty overlay is the common case and skips the lookup.
     #[inline]
     fn get_real(&self, i: usize, j: usize) -> u8 {
+        let cells = &self.scratch.cells;
         let idx = (i * self.base.n() + j) as u32;
-        for &(c, p) in &self.scratch.cells {
-            if c == idx {
-                return p;
-            }
+        match cells.is_empty() {
+            false => cells.get(&idx).copied(),
+            true => None,
         }
-        self.base.get(i, j)
+        .unwrap_or_else(|| self.base.get(i, j))
     }
 
     /// Overlay-adjusted element count of owner `p` in a real line.
     #[inline]
     fn count_real(&self, p: u8, line: (usize, Axis)) -> i64 {
+        let deltas = &self.scratch.deltas[line.1 as usize];
         let key = (p as usize * self.base.n() + line.0) as u32;
-        let delta = self.scratch.deltas[line.1 as usize]
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |&(_, d)| d);
+        let delta = match deltas.is_empty() {
+            false => deltas.get(&key).copied().unwrap_or(0),
+            true => 0,
+        };
         i64::from(self.frame.count(self.base, p, line)) + i64::from(delta)
     }
 
@@ -114,33 +145,18 @@ impl<'a> ProbeView<'a> {
     fn shift(&mut self, p: u8, line: (usize, Axis), by: i32) -> i64 {
         let key = (p as usize * self.base.n() + line.0) as u32;
         let base = i64::from(self.frame.count(self.base, p, line));
-        let deltas = &mut self.scratch.deltas[line.1 as usize];
-        let before = match deltas.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, d)) => {
-                *d += by;
-                *d - by
-            }
-            None => {
-                deltas.push((key, by));
-                0
-            }
-        };
+        let delta = self.scratch.deltas[line.1 as usize].entry(key).or_insert(0);
+        let before = *delta;
+        *delta += by;
         base + i64::from(before)
     }
 
-    /// Overlay mirror of `NPartition::set`: reassign real cell `(i, j)` and
-    /// update the per-line deltas and ΔVoC with the same 1→0 / 0→1
-    /// transition rules the real grid uses.
-    fn set_real(&mut self, i: usize, j: usize, p: u8) {
-        let old = self.get_real(i, j);
-        if old == p {
-            return;
-        }
-        let idx = (i * self.base.n() + j) as u32;
-        match self.scratch.cells.iter_mut().find(|(c, _)| *c == idx) {
-            Some(entry) => entry.1 = p,
-            None => self.scratch.cells.push((idx, p)),
-        }
+    /// Overlay mirror of `NPartition::set`: reassign real cell `(i, j)`
+    /// from its owner `old` to `p` and update the per-line deltas and ΔVoC
+    /// with the same 1→0 / 0→1 transition rules the real grid uses.
+    fn set_real(&mut self, (i, j): (usize, usize), old: u8, p: u8) {
+        debug_assert_eq!(self.get_real(i, j), old, "owner of ({i}, {j})");
+        self.scratch.cells.insert((i * self.base.n() + j) as u32, p);
         for line in [(i, Axis::Row), (j, Axis::Col)] {
             if self.shift(old, line, -1) == 1 {
                 self.scratch.voc_delta -= 1;
@@ -181,6 +197,13 @@ impl LineGrid for ProbeView<'_> {
     fn line_word(&self, p: u8, u: usize, w: usize) -> u64 {
         self.frame.line_word(self.base, p, u, w)
     }
+
+    /// The base grid's nonzero-word summary, under [`LineGrid::line_word`]'s
+    /// pre-swap contract.
+    #[inline]
+    fn nonzero_words(&self, p: u8, u: usize, w: usize) -> u64 {
+        self.frame.nonzero_words(self.base, p, u, w)
+    }
 }
 
 impl PushGrid for ProbeView<'_> {
@@ -190,16 +213,12 @@ impl PushGrid for ProbeView<'_> {
         self.get_real(i, j)
     }
 
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.frame.map(a.0, a.1);
-        let rb = self.frame.map(b.0, b.1);
-        let pa = self.get_real(ra.0, ra.1);
-        let pb = self.get_real(rb.0, rb.1);
+    fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8) {
         if pa == pb {
             return;
         }
-        self.set_real(ra.0, ra.1, pb);
-        self.set_real(rb.0, rb.1, pa);
+        self.set_real(self.frame.map(a.0, a.1), pa, pb);
+        self.set_real(self.frame.map(b.0, b.1), pb, pa);
     }
 
     #[inline]

@@ -25,16 +25,22 @@
 //! Because both terms are row constants or column masks, one plane word
 //! of an owner splits into its bucket masks with a few ANDs ([`collect`]),
 //! instead of one branchy decision per set bit. The sweep extracts bits
-//! only from buckets still below `cap`, skips words that can add nothing,
-//! and stops as soon as every bucket of every owner is full.
+//! only from buckets still below `cap`. It reads only the plane words that
+//! the grid's nonzero-word summary ([`LineGrid::nonzero_words`]) marks
+//! nonzero and whose columns can feed a bucket the row still reaches, and
+//! it drops an owner once no row can feed any of its open buckets. Full
+//! buckets rarely end the sweep: the cleaning buckets seldom fill, so it
+//! usually runs to the rectangle's bottom row, and what it saves is the
+//! words it does not read. A window of one or two words gains nothing
+//! from the summary, so its sweep reads the words directly.
 
 /// The line-level, canonical-coordinate queries phase 1 needs, over owner
 /// ids `u8`. The push kernel's grid trait extends it, so both views feed
 /// [`collect`] directly.
 ///
-/// [`LineGrid::enclosing_rect`] and [`LineGrid::line_word`] are only
-/// consulted before any swap; overlay views may answer them from their
-/// base grid.
+/// [`LineGrid::enclosing_rect`], [`LineGrid::line_word`] and
+/// [`LineGrid::nonzero_words`] are only consulted before any swap;
+/// overlay views may answer them from their base grid.
 pub(crate) trait LineGrid {
     /// Elements of `proc` in canonical row `u`.
     fn row_count(&self, proc: u8, u: usize) -> u32;
@@ -46,6 +52,14 @@ pub(crate) trait LineGrid {
     /// Word `w` of `proc`'s canonical-row-`u` bit-plane line: bit `b` is
     /// set iff canonical cell `(u, w * 64 + b)` belongs to `proc`.
     fn line_word(&self, proc: u8, u: usize, w: usize) -> u64;
+    /// Which words of `proc`'s canonical-row-`u` line, from word `w` on,
+    /// may be nonzero: bit `b` stands for word `w + b`, and a clear bit
+    /// promises that [`LineGrid::line_word`] is zero there. Bits past the
+    /// line's last word mean nothing. By default every word may be
+    /// nonzero.
+    fn nonzero_words(&self, _proc: u8, _u: usize, _w: usize) -> u64 {
+        !0
+    }
     /// Does canonical row `u` contain elements of `proc`?
     fn row_has(&self, proc: u8, u: usize) -> bool {
         self.row_count(proc, u) > 0
@@ -182,6 +196,60 @@ fn setup<G: LineGrid>(grid: &G, proc: u8, owners: &[u8]) -> Option<Setup> {
     })
 }
 
+/// Which words of the window can feed each row-relative bucket `j`, per
+/// kind of row: kind 0 for rows that clean the owner (every cell cleans),
+/// kind `1 + slot` for the other rows of that slot's owner. Bit `i` of
+/// `words[kind * chunks + c][j]` stands for window word `w_lo + 64 * c +
+/// i`, and bit `j` of `any[kind]` for "some word can".
+struct Feeds {
+    chunks: usize,
+    words: Vec<[u64; 4]>,
+    any: Vec<u8>,
+}
+
+impl Feeds {
+    fn new(s: &Setup, slots: usize) -> Feeds {
+        let chunks = (s.window.w_hi - s.window.w_lo) / 64 + 1;
+        let mut words = vec![[0u64; 4]; (1 + slots) * chunks];
+        let mut any = vec![0u8; 1 + slots];
+        for w in s.window.w_lo..=s.window.w_hi {
+            let i = w - s.window.w_lo;
+            for kind in 0..=slots {
+                let cleans = if kind == 0 {
+                    !0
+                } else {
+                    s.col_cleans[kind - 1][i]
+                };
+                let masks = split(s.window.mask(w), s.col_ok[i], cleans);
+                for (j, &mask) in masks.iter().enumerate() {
+                    if mask != 0 {
+                        words[kind * chunks + i / 64][j] |= 1 << (i % 64);
+                        any[kind] |= 1 << j;
+                    }
+                }
+            }
+        }
+        Feeds { chunks, words, any }
+    }
+
+    /// Can some kind of row (dirty or not, cleaning or not) feed one of
+    /// the `open` buckets of `slot`'s owner?
+    #[inline]
+    fn can_fill(&self, slot: usize, open: u8) -> bool {
+        (open | open >> 2) & (self.any[0] | self.any[1 + slot]) != 0
+    }
+
+    /// The words of chunk `c` that rows of `kind` can feed into a bucket
+    /// of `reach`.
+    #[inline]
+    fn useful(&self, kind: usize, c: usize, reach: u8) -> u64 {
+        let words = &self.words[kind * self.chunks + c];
+        (0..4).fold(0, |m, j| {
+            m | (words[j] & 0u64.wrapping_sub(u64::from((reach >> j) & 1)))
+        })
+    }
+}
+
 /// Phase 1 for a push of `proc` whose displaced owners are `owners` (slot
 /// order of [`Candidates::owner_targets`]): locate the cleaned line and
 /// bucket the interior targets of each owner.
@@ -192,39 +260,55 @@ fn setup<G: LineGrid>(grid: &G, proc: u8, owners: &[u8]) -> Option<Setup> {
 /// `cleans` forced on when removing the cell empties the owner's row). So
 /// the four buckets a row can reach are four AND-combinations of the
 /// owner's plane word, and bits are extracted only from buckets still
-/// below `cap`. Per bucket, candidates arrive in `(g, h)` order exactly as
-/// a cell-by-cell scan would deliver them, so each bucket keeps the same
+/// below `cap`. Rows ascend, and words and bits ascend within a row, so
+/// per bucket the candidates arrive in `(g, h)` order exactly as a
+/// cell-by-cell scan would deliver them, and each bucket keeps the same
 /// first `cap` entries.
 pub(crate) fn collect<G: LineGrid>(grid: &G, proc: u8, owners: Vec<u8>) -> Option<Candidates> {
     let s = setup(grid, proc, &owners)?;
+    let feeds = Feeds::new(&s, owners.len());
+    // Reading a line's summary costs about one word read, so it pays off
+    // only when the window holds three words or more.
+    let buckets = if s.window.w_hi - s.window.w_lo >= 2 {
+        sweep_summarized(grid, proc, &owners, &s, &feeds)
+    } else {
+        sweep_words(grid, proc, &owners, &s, &feeds)
+    };
+    Some(Candidates {
+        line: s.line,
+        cleaned: s.cleaned,
+        owners,
+        owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
+    })
+}
+
+/// Each owner slot's six buckets, best first.
+type Buckets = Vec<[Vec<(usize, usize)>; 6]>;
+
+/// The row sweep of a window of one or two words: it reads every word of
+/// the window while the row still reaches an open bucket, and stops once
+/// no kind of row can feed any owner's open buckets.
+fn sweep_words<G: LineGrid>(
+    grid: &G,
+    proc: u8,
+    owners: &[u8],
+    s: &Setup,
+    feeds: &Feeds,
+) -> Buckets {
     let cap = s.cleaned.len() + 64;
-    let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
-        owners.iter().map(|_| Default::default()).collect();
+    let mut buckets: Buckets = owners.iter().map(|_| Default::default()).collect();
     // Buckets below `cap`, one bit per bucket, per owner slot.
     let mut open: Vec<u8> = vec![0b11_1111; owners.len()];
-    let mut open_owners = owners.len();
-    // Which row-relative buckets `j` any column of the window can feed at
-    // all: per slot for rows that do not clean the owner, and one set for
-    // rows that do (every cell cleans). An (owner, row) pair whose open
-    // buckets are all unfed is passed over without reading a word.
-    let mut fed_cleaning = 0u8;
-    let mut fed: Vec<u8> = vec![0; owners.len()];
-    for w in s.window.w_lo..=s.window.w_hi {
-        let (ok, in_window) = (s.col_ok[w - s.window.w_lo], s.window.mask(w));
-        fed_cleaning |= nonempty(split(in_window, ok, !0));
-        for (slot, fed) in fed.iter_mut().enumerate() {
-            *fed |= nonempty(split(in_window, ok, s.col_cleans[slot][w - s.window.w_lo]));
-        }
-    }
-
+    // Owners some kind of row can still feed an open bucket of.
+    let mut live = owners.len();
     for g in (s.line + 1)..=s.bottom {
         let base = if grid.row_has(proc, g) { 0 } else { 2 };
         for (slot, &owner) in owners.iter().enumerate() {
             let row_cleans = grid.row_count(owner, g) == 1;
+            let kind = if row_cleans { 0 } else { 1 + slot };
             // The four buckets reachable in this row that are still open
             // and that some column can feed.
-            let mut reach =
-                (open[slot] >> base) & if row_cleans { fed_cleaning } else { fed[slot] };
+            let mut reach = (open[slot] >> base) & feeds.any[kind];
             for w in s.window.w_lo..=s.window.w_hi {
                 if reach == 0 {
                     break;
@@ -239,36 +323,114 @@ pub(crate) fn collect<G: LineGrid>(grid: &G, proc: u8, owners: Vec<u8>) -> Optio
                 } else {
                     s.col_cleans[slot][i]
                 };
-                for (j, &mask) in split(word, s.col_ok[i], cleans).iter().enumerate() {
-                    if (reach >> j) & 1 == 0 || mask == 0 {
-                        continue;
-                    }
-                    let bucket = &mut buckets[slot][base + j];
-                    let mut bits = mask;
-                    while bits != 0 && bucket.len() < cap {
-                        bucket.push((g, w * 64 + bits.trailing_zeros() as usize));
-                        bits &= bits - 1;
-                    }
-                    if bucket.len() == cap {
-                        reach &= !(1 << j);
-                        open[slot] &= !(1 << (base + j));
-                        if open[slot] == 0 {
-                            open_owners -= 1;
+                let masks = split(word, s.col_ok[i], cleans);
+                let filled = push_bits(&mut buckets[slot][base..], masks, reach, (g, w), cap);
+                if filled != 0 {
+                    reach &= !filled;
+                    open[slot] &= !(filled << base);
+                    live -= usize::from(!feeds.can_fill(slot, open[slot]));
+                }
+            }
+        }
+        if live == 0 {
+            break;
+        }
+    }
+    buckets
+}
+
+/// The row sweep of a window of three words or more. It reads only the
+/// words that the grid's summary marks nonzero and whose columns can feed
+/// a bucket the row still reaches, and drops an owner once no kind of row
+/// can feed any of its open buckets.
+fn sweep_summarized<G: LineGrid>(
+    grid: &G,
+    proc: u8,
+    owners: &[u8],
+    s: &Setup,
+    feeds: &Feeds,
+) -> Buckets {
+    let cap = s.cleaned.len() + 64;
+    let mut buckets: Buckets = owners.iter().map(|_| Default::default()).collect();
+    // Buckets below `cap`, one bit per bucket, per owner slot.
+    let mut open: Vec<u8> = vec![0b11_1111; owners.len()];
+    // The slots whose owner some kind of row can still feed an open
+    // bucket of, one bit per slot (k <= 64).
+    let mut live: u64 = (1 << owners.len()) - 1;
+    for g in (s.line + 1)..=s.bottom {
+        let base = if grid.row_has(proc, g) { 0 } else { 2 };
+        let mut slots = live;
+        while slots != 0 {
+            let slot = slots.trailing_zeros() as usize;
+            slots &= slots - 1;
+            let owner = owners[slot];
+            let row_cleans = grid.row_count(owner, g) == 1;
+            let kind = if row_cleans { 0 } else { 1 + slot };
+            // The four buckets reachable in this row that are still open
+            // and that some column can feed.
+            let mut reach = (open[slot] >> base) & feeds.any[kind];
+            for c in 0..feeds.chunks {
+                if reach == 0 {
+                    break;
+                }
+                let w0 = s.window.w_lo + 64 * c;
+                let mut words = grid.nonzero_words(owner, g, w0) & feeds.useful(kind, c, reach);
+                while words != 0 {
+                    let w = w0 + words.trailing_zeros() as usize;
+                    words &= words - 1;
+                    let word = grid.line_word(owner, g, w) & s.window.mask(w);
+                    let i = w - s.window.w_lo;
+                    let cleans = if row_cleans {
+                        !0
+                    } else {
+                        s.col_cleans[slot][i]
+                    };
+                    let masks = split(word, s.col_ok[i], cleans);
+                    let filled = push_bits(&mut buckets[slot][base..], masks, reach, (g, w), cap);
+                    if filled != 0 {
+                        reach &= !filled;
+                        open[slot] &= !(filled << base);
+                        words &= feeds.useful(kind, c, reach);
+                        if !feeds.can_fill(slot, open[slot]) {
+                            live &= !(1 << slot);
                         }
                     }
                 }
             }
         }
-        if open_owners == 0 {
+        if live == 0 {
             break;
         }
     }
-    Some(Candidates {
-        line: s.line,
-        cleaned: s.cleaned,
-        owners,
-        owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
-    })
+    buckets
+}
+
+/// Push the bits of row `g`'s plane word `w`, split by row-relative
+/// bucket `j` into `masks`, onto the reachable buckets `row[j]` below
+/// `cap`, lowest bit first. Returns the buckets that filled.
+#[inline(always)]
+fn push_bits(
+    row: &mut [Vec<(usize, usize)>],
+    masks: [u64; 4],
+    reach: u8,
+    (g, w): (usize, usize),
+    cap: usize,
+) -> u8 {
+    let mut filled = 0;
+    for (j, (bucket, &mask)) in row.iter_mut().zip(&masks).enumerate() {
+        if (reach >> j) & 1 == 0 || mask == 0 {
+            continue;
+        }
+        let mut bits = mask;
+        while bits != 0 && bucket.len() < cap {
+            bucket.push((g, w * 64 + bits.trailing_zeros() as usize));
+            bits &= bits - 1;
+        }
+        if bucket.len() == cap {
+            filled |= 1 << j;
+        }
+    }
+    filled
 }
 
 /// Split `word` into the four row-relative bucket masks,
@@ -281,11 +443,6 @@ fn split(word: u64, ok: u64, cleans: u64) -> [u64; 4] {
         word & !ok & cleans,
         word & !ok & !cleans,
     ]
-}
-
-/// Bit `j` set iff mask `j` has a bit.
-fn nonempty(masks: [u64; 4]) -> u8 {
-    (0..4).fold(0, |set, j| set | u8::from(masks[j] != 0) << j)
 }
 
 /// The per-bit sweep [`collect`] replaced: every set bit of every owner's
@@ -543,6 +700,44 @@ mod tests {
             owners,
             owner_targets: buckets.into_iter().map(|b| b.concat()).collect(),
         })
+    }
+
+    /// Past 4096 columns a window holds more than 64 plane words, so the
+    /// sweep reads the nonzero-word summary 64 words at a time; the result
+    /// must still equal the cell oracle in every direction.
+    #[test]
+    fn wide_window_matches_cell_oracle() {
+        let n = 4200;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut part = NPartition::new(n, 3);
+        for i in 10..=13 {
+            for j in 0..n {
+                match rng.random_range(0..8u32) {
+                    0..=2 => part.set(i, j, 1),
+                    3 => part.set(i, j, 2),
+                    _ => 0,
+                };
+            }
+        }
+        for proc in 1..3u8 {
+            for dir in Direction::ALL {
+                let mut real = part.clone();
+                let view = View::new(&mut real, dir);
+                assert_eq!(
+                    prepare(&view, proc, 3),
+                    prepare_reference(&view, proc, 3),
+                    "view: {proc} {dir:?}"
+                );
+
+                let mut scratch = ProbeScratch::default();
+                let probe = ProbeView::new(&part, &mut scratch, dir);
+                assert_eq!(
+                    prepare(&probe, proc, 3),
+                    prepare_reference(&probe, proc, 3),
+                    "probe: {proc} {dir:?}"
+                );
+            }
+        }
     }
 
     proptest! {

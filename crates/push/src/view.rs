@@ -24,7 +24,8 @@
 //! 2. the canonical **within-line** position `v` is never reversed by any
 //!    direction, so the grid's plane words are served to the push kernel
 //!    verbatim: word `w` of the canonical line is word `w` of the real
-//!    line, bit for bit ([`LineGrid::line_word`]).
+//!    line, bit for bit ([`LineGrid::line_word`]), and so is the line's
+//!    nonzero-word summary ([`LineGrid::nonzero_words`]).
 //!
 //! Both grid views hold a [`Frame`]: the mutable [`View`] here, and the
 //! read-only probe overlay [`crate::probe::ProbeView`].
@@ -119,6 +120,16 @@ impl Frame {
             (j, Axis::Col) => grid.col_plane_word(p, j, w),
         }
     }
+
+    /// The nonzero-word summary of `p`'s canonical-row-`u` plane line in
+    /// `grid`, from word `w` on.
+    #[inline]
+    pub(crate) fn nonzero_words(self, grid: &NPartition, p: u8, u: usize, w: usize) -> u64 {
+        match self.row_line(u) {
+            (i, Axis::Row) => grid.row_nonzero_words(p, i, w),
+            (j, Axis::Col) => grid.col_nonzero_words(p, j, w),
+        }
+    }
 }
 
 /// A mutable, direction-canonicalized window onto a grid. The push kernel
@@ -155,6 +166,11 @@ impl LineGrid for View<'_> {
     fn line_word(&self, p: u8, u: usize, w: usize) -> u64 {
         self.frame.line_word(self.part, p, u, w)
     }
+
+    #[inline]
+    fn nonzero_words(&self, p: u8, u: usize, w: usize) -> u64 {
+        self.frame.nonzero_words(self.part, p, u, w)
+    }
 }
 
 impl PushGrid for View<'_> {
@@ -165,9 +181,9 @@ impl PushGrid for View<'_> {
     }
 
     #[inline]
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+    fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8) {
         self.part
-            .swap(self.frame.map(a.0, a.1), self.frame.map(b.0, b.1));
+            .swap_owned(self.frame.map(a.0, a.1), pa, self.frame.map(b.0, b.1), pb);
     }
 
     #[inline]

@@ -140,9 +140,9 @@ fn is_failure(outcome: &str) -> bool {
     matches!(outcome, "mismatch" | "error")
 }
 
-fn bump(name: &'static str) {
+fn bump(counter: obs::CounterId) {
     if obs::metrics_enabled() {
-        obs::metrics().counter(name).inc();
+        obs::metrics().counter(counter).inc();
     }
 }
 

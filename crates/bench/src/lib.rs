@@ -214,14 +214,13 @@ impl Drop for BinSession {
     fn drop(&mut self) {
         let manifest = self.manifest();
         let path = results_dir().join("manifests.jsonl");
-        // Cap the file at its newest HETMMM_OBS_MANIFEST_CAP records
-        // (default 1024, 0 = unlimited) so repeated bench runs cannot grow
-        // it without bound.
+        // Keep the newest MANIFEST_CAP records, so repeated bench runs
+        // cannot grow the file without bound.
         #[expect(
             clippy::print_stderr,
             reason = "in Drop mid-teardown; sinks are being uninstalled"
         )]
-        if let Err(err) = obs::append_manifest_capped(&path, &manifest, obs::manifest_cap()) {
+        if let Err(err) = obs::append_manifest_capped(&path, &manifest, obs::MANIFEST_CAP) {
             eprintln!("hetmmm-bench: cannot write {}: {err}", path.display());
         }
         obs::flush_sinks();

@@ -347,13 +347,39 @@ enum Verdict {
     /// step it happened at travels in the `ExecPeerLost` event).
     PeerLost {
         peer: Proc,
-        detail: &'static str,
+        loss: Loss,
         stats: ProcExec,
     },
     /// The worker thread itself panicked — a genuine bug rather than a
     /// modeled fault. The payload is reported through the obs facade at
     /// capture time.
     Panicked,
+}
+
+/// Why a worker gave up on a peer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Loss {
+    /// The peer's channel closed, on a send or a receive.
+    Disconnected,
+    /// The peer's channel stayed full past the send patience.
+    SendTimedOut,
+    /// Nothing arrived within the receive budget, retries included.
+    RecvTimedOut,
+    /// A message of another step arrived: one upstream was lost.
+    OutOfStep,
+}
+
+impl Loss {
+    /// The `ExecPeerLost.detail` text, and the weight of this testimony
+    /// in `run_attempt`'s blame aggregation.
+    fn describe(self) -> (&'static str, u32) {
+        match self {
+            Loss::Disconnected => ("channel disconnected", 1),
+            Loss::SendTimedOut => ("send timed out (peer stalled)", 3),
+            Loss::RecvTimedOut => ("receive timed out", 3),
+            Loss::OutOfStep => ("out-of-step message (lost message upstream)", 10),
+        }
+    }
 }
 
 /// `try_send` with a deadline: a full channel is retried until `timeout`
@@ -369,7 +395,7 @@ fn send_with_deadline(
     mut msg: StepMessage,
     timeout: Duration,
     clock: &dyn Clock,
-) -> Result<Option<(u64, u64)>, &'static str> {
+) -> Result<Option<(u64, u64)>, Loss> {
     let deadline = clock
         .now_nanos()
         .saturating_add(timeout.as_nanos().min(u64::MAX as u128) as u64);
@@ -377,7 +403,7 @@ fn send_with_deadline(
     loop {
         match tx.try_send(msg) {
             Ok(()) => return Ok(blocked_since.map(|since| (since, clock.now_nanos()))),
-            Err(TrySendError::Disconnected(_)) => return Err("channel disconnected"),
+            Err(TrySendError::Disconnected(_)) => return Err(Loss::Disconnected),
             #[expect(
                 clippy::disallowed_methods,
                 reason = "bounded backoff while a real channel is full"
@@ -385,7 +411,7 @@ fn send_with_deadline(
             Err(TrySendError::Full(m)) => {
                 let now = clock.now_nanos();
                 if now >= deadline {
-                    return Err("send timed out (peer stalled)");
+                    return Err(Loss::SendTimedOut);
                 }
                 blocked_since.get_or_insert(now);
                 msg = m;
@@ -489,7 +515,7 @@ impl Worker {
         stats: ProcExec,
         peer: Proc,
         step: usize,
-        detail: &'static str,
+        loss: Loss,
     ) -> Verdict {
         self.bank(acc, step);
         if obs::enabled() {
@@ -497,14 +523,10 @@ impl Worker {
                 worker: self.proc.to_string(),
                 peer: peer.to_string(),
                 step: step as u64,
-                detail: detail.to_string(),
+                detail: loss.describe().0.to_string(),
             });
         }
-        Verdict::PeerLost {
-            peer,
-            detail,
-            stats,
-        }
+        Verdict::PeerLost { peer, loss, stats }
     }
 
     fn run(mut self) -> Verdict {
@@ -598,7 +620,7 @@ impl Worker {
                                 }
                             }
                         }
-                        Err(detail) => return self.peer_lost(&acc, stats, *peer, k, detail),
+                        Err(loss) => return self.peer_lost(&acc, stats, *peer, k, loss),
                     }
                 }
             }
@@ -623,7 +645,7 @@ impl Worker {
                         Ok(msg) => break msg,
                         Err(RecvTimeoutError::Timeout) => {
                             if rewaits >= self.retry.attempts {
-                                return self.peer_lost(&acc, stats, *peer, k, "receive timed out");
+                                return self.peer_lost(&acc, stats, *peer, k, Loss::RecvTimedOut);
                             }
                             window = self.retry.delay(rewaits);
                             rewaits += 1;
@@ -639,18 +661,12 @@ impl Worker {
                             }
                         }
                         Err(RecvTimeoutError::Disconnected) => {
-                            return self.peer_lost(&acc, stats, *peer, k, "channel disconnected")
+                            return self.peer_lost(&acc, stats, *peer, k, Loss::Disconnected)
                         }
                     }
                 };
                 if msg_step != k {
-                    return self.peer_lost(
-                        &acc,
-                        stats,
-                        *peer,
-                        k,
-                        "out-of-step message (lost message upstream)",
-                    );
+                    return self.peer_lost(&acc, stats, *peer, k, Loss::OutOfStep);
                 }
                 let received = (a_part.len() + b_part.len()) as u64;
                 stats.elems_recv += received;
@@ -658,9 +674,7 @@ impl Worker {
                     let wait_nanos = self.clock.now_nanos().saturating_sub(wait_start);
                     if obs::metrics_enabled() {
                         obs::metrics()
-                            .histogram(obs::metrics::names::EXEC_RECV_WAIT_NANOS, || {
-                                obs::Histogram::exponential(1000, 4, 12)
-                            })
+                            .histogram(obs::metrics::names::EXEC_RECV_WAIT_NANOS)
                             .observe(wait_nanos);
                     }
                     if obs::enabled() {
@@ -933,19 +947,9 @@ fn run_attempt(
                 // its peers' testimony.
                 partial.push((*proc, *stats));
             }
-            Verdict::PeerLost {
-                peer,
-                detail,
-                stats,
-            } => {
+            Verdict::PeerLost { peer, loss, stats } => {
                 partial.push((*proc, *stats));
-                blame[peer.idx()] += if detail.contains("out-of-step") {
-                    10
-                } else if detail.contains("timed out") {
-                    3
-                } else {
-                    1
-                };
+                blame[peer.idx()] += loss.describe().1;
             }
         }
     }
@@ -1324,6 +1328,26 @@ mod tests {
             .with_recv_timeout(Duration::from_millis(200))
             .with_retry_attempts(1)
             .with_backoff(Duration::from_millis(20), Duration::from_millis(40))
+    }
+
+    #[test]
+    fn loss_kinds_pin_their_text_and_blame_weight() {
+        let described = [
+            Loss::Disconnected,
+            Loss::SendTimedOut,
+            Loss::RecvTimedOut,
+            Loss::OutOfStep,
+        ]
+        .map(Loss::describe);
+        assert_eq!(
+            described,
+            [
+                ("channel disconnected", 1),
+                ("send timed out (peer stalled)", 3),
+                ("receive timed out", 3),
+                ("out-of-step message (lost message upstream)", 10),
+            ]
+        );
     }
 
     #[test]

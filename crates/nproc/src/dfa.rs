@@ -102,9 +102,7 @@ impl NDfaRunner {
         }
         if obs::metrics_enabled() {
             obs::metrics()
-                .histogram(obs::metrics::names::NPROC_STEPS, || {
-                    obs::Histogram::exponential(1, 2, 16)
-                })
+                .histogram(obs::metrics::names::NPROC_STEPS)
                 .observe(steps as u64);
         }
         NDfaOutcome {

@@ -46,10 +46,11 @@ pub mod sink;
 pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use event::{EventKind, EventRecord, SCHEMA_VERSION};
 pub use manifest::{
-    append_manifest, append_manifest_capped, git_rev, manifest_cap, RunManifest,
-    DEFAULT_MANIFEST_CAP, MANIFEST_VERSION,
+    append_manifest, append_manifest_capped, git_rev, RunManifest, MANIFEST_CAP, MANIFEST_VERSION,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    Counter, CounterId, Histogram, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+};
 pub use sink::{CollectSink, FmtSink, JsonlSink, NullSink, SharedBuf, Sink, SinkId};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -97,8 +98,8 @@ fn clock_slot() -> &'static RwLock<Arc<dyn Clock>> {
 
 /// The process-wide metrics registry.
 pub fn metrics() -> &'static MetricsRegistry {
-    static METRICS: OnceLock<MetricsRegistry> = OnceLock::new();
-    METRICS.get_or_init(MetricsRegistry::new)
+    static METRICS: MetricsRegistry = MetricsRegistry::new();
+    &METRICS
 }
 
 /// Is metrics recording on? One relaxed atomic load — check this before

@@ -4,7 +4,8 @@
 //! an artifact drop: binary name, CLI arguments, seed, git revision, wall
 //! time, and a full metrics snapshot. Bench binaries append one line per
 //! run to `results/manifests.jsonl` via their session guard (see
-//! `hetmmm_bench::BinSession`).
+//! `hetmmm_bench::BinSession`), which keeps the newest [`MANIFEST_CAP`]
+//! records.
 
 use crate::metrics::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -12,7 +13,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// Schema version of the manifest record (independent of the event schema).
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// One experiment run, serialized as one JSONL line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -69,27 +70,13 @@ pub fn append_manifest(path: impl AsRef<Path>, manifest: &RunManifest) -> io::Re
     writeln!(file, "{json}")
 }
 
-/// Default cap on `results/manifests.jsonl` lines (see [`manifest_cap`]).
-pub const DEFAULT_MANIFEST_CAP: usize = 1024;
-
-/// Manifest-file line cap from `HETMMM_OBS_MANIFEST_CAP`.
-///
-/// `0` (or an unparsable value) means unlimited; unset means
-/// [`DEFAULT_MANIFEST_CAP`]. Bench sessions pass the result to
-/// [`append_manifest_capped`] so repeated runs cannot grow the file
-/// without bound.
-pub fn manifest_cap() -> Option<usize> {
-    match std::env::var("HETMMM_OBS_MANIFEST_CAP") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) | Err(_) => None,
-            Ok(cap) => Some(cap),
-        },
-        Err(_) => Some(DEFAULT_MANIFEST_CAP),
-    }
-}
+/// Most records a bench session keeps in `results/manifests.jsonl`: its
+/// [`append_manifest_capped`] call trims the file to the newest ones, so
+/// repeated runs cannot grow it without bound.
+pub const MANIFEST_CAP: usize = 1024;
 
 /// Append one manifest record, then trim the file to its newest `cap`
-/// lines (`None` = unlimited, plain append).
+/// lines.
 ///
 /// Trimming rewrites the whole file; the cap exists to bound artifact
 /// growth across many bench invocations, not to make appends cheap, and
@@ -97,11 +84,10 @@ pub fn manifest_cap() -> Option<usize> {
 pub fn append_manifest_capped(
     path: impl AsRef<Path>,
     manifest: &RunManifest,
-    cap: Option<usize>,
+    cap: usize,
 ) -> io::Result<()> {
     let path = path.as_ref();
     append_manifest(path, manifest)?;
-    let Some(cap) = cap else { return Ok(()) };
     let text = std::fs::read_to_string(path)?;
     let lines: Vec<&str> = text.lines().collect();
     if lines.len() <= cap {
@@ -164,7 +150,7 @@ mod tests {
         for i in 0..5u64 {
             let mut m = sample();
             m.seed = Some(i);
-            append_manifest_capped(&path, &m, Some(3)).unwrap();
+            append_manifest_capped(&path, &m, 3).unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let seeds: Vec<u64> = text
@@ -177,21 +163,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seeds, vec![2, 3, 4], "newest 3 records survive, in order");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn uncapped_append_never_trims() {
-        let path = std::env::temp_dir().join(format!(
-            "hetmmm_manifest_nocap_test_{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        for _ in 0..4 {
-            append_manifest_capped(&path, &sample(), None).unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 4);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -277,14 +277,12 @@ impl DfaRunner {
                 metrics.counter(names::PUSH_PROBE_CACHE_HITS).add(known);
             }
             for (row, counts) in names::DFA_PUSH.iter().zip(&walked.pushes) {
-                for (name, &count) in row.iter().zip(counts).filter(|(_, &c)| c > 0) {
-                    metrics.counter(name).add(count as u64);
+                for (&id, &count) in row.iter().zip(counts).filter(|(_, &c)| c > 0) {
+                    metrics.counter(id).add(count as u64);
                 }
             }
             metrics
-                .histogram(names::DFA_STEPS_TO_CONVERGENCE, || {
-                    obs::Histogram::exponential(1, 2, 16)
-                })
+                .histogram(names::DFA_STEPS_TO_CONVERGENCE)
                 .observe(walked.steps as u64);
         }
         DfaOutcome {

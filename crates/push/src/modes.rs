@@ -77,12 +77,12 @@ pub(crate) fn attempt<G: PushGrid>(
     let mut assignment: Vec<usize> = Vec::with_capacity(m);
     let mut flexible: Vec<usize> = Vec::new();
     for (idx, &v) in cleaned.iter().enumerate() {
-        let free_slots: Vec<usize> = (0..owners.len()).filter(|&s| free(s, v)).collect();
-        match free_slots.len() {
-            0 if displaced_strict => return None,
-            1 if demand[free_slots[0]] < avail[free_slots[0]] => {
-                assignment.push(free_slots[0]);
-                demand[free_slots[0]] += 1;
+        let mut free_slots = (0..owners.len()).filter(|&s| free(s, v));
+        match (free_slots.next(), free_slots.next()) {
+            (None, _) if displaced_strict => return None,
+            (Some(s), None) if demand[s] < avail[s] => {
+                assignment.push(s);
+                demand[s] += 1;
             }
             _ => {
                 // Prefer a free owner with spare targets; resolved below.
@@ -93,24 +93,13 @@ pub(crate) fn attempt<G: PushGrid>(
     }
     for idx in flexible {
         let v = cleaned[idx];
-        // Free owners first, then anyone with spare targets.
-        let mut order: Vec<usize> = (0..owners.len()).collect();
-        order.sort_by_key(|&s| !free(s, v));
-        let mut placed = false;
-        for s in order {
-            if demand[s] < avail[s] {
-                if displaced_strict && !free(s, v) {
-                    continue;
-                }
-                assignment[idx] = s;
-                demand[s] += 1;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
-        }
+        // Free owners first, then (unless displaced-strict) the others,
+        // each ascending: the first with spare targets takes the cell.
+        let free_slots = (0..owners.len()).filter(|&s| free(s, v));
+        let others = (0..owners.len()).filter(|&s| !displaced_strict && !free(s, v));
+        let s = free_slots.chain(others).find(|&s| demand[s] < avail[s])?;
+        assignment[idx] = s;
+        demand[s] += 1;
     }
 
     commit(

@@ -97,7 +97,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
                 // seeded random partitions, then hammer the 8-pair
                 // end-condition probe (`is_condensed`) on each fixed point.
                 // This is the hot shape of census post-processing — every
-                // probe answers "would any push apply?" without mutating.
+                // probe answers "would any push apply?" and reverts the
+                // push it finds.
                 //
                 // `push.probe.cache_hits` is 0 here *by design*: no DFA
                 // run ends here, so no verdict is known in advance and
@@ -110,7 +111,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
                     let mut part = random_partition(probe_n, Ratio::new(3, 2, 1), &mut rng);
                     beautify(&mut part);
                     for _ in 0..probe_reps {
-                        assert!(is_condensed(&part), "beautify must condense");
+                        assert!(is_condensed(&mut part), "beautify must condense");
                         checks += 1;
                     }
                 }

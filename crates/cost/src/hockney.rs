@@ -1,4 +1,4 @@
-//! The Hockney communication model (Section II, [12]).
+//! The Hockney communication model (Section II, \[12\]).
 //!
 //! `T_comm = α + β · M`: a fixed per-message latency `α` plus a per-element
 //! transfer time `β`. The paper's experiments (Fig. 14) use a 1000 MB/s

@@ -1,9 +1,10 @@
 //! The k-processor push.
 //!
 //! The rule layer lives in `hetmmm-push` ([`hetmmm_push::modes`]), beside
-//! the paper's six push types, and runs on the same grid views, probe
-//! overlay and DFA walk; this module re-exports it under the names the
-//! k-processor search has always used.
+//! the paper's six push types, and runs on the same grid view, probe and
+//! DFA walk; this module re-exports it under the names the k-processor
+//! search has always used. [`push_feasible_n`] applies and reverts a push
+//! on the grid it is given, so it takes the grid `&mut`.
 
 pub use hetmmm_push::{
     push_feasible_n, try_push_mode, try_push_n, Direction as NDirection, NAppliedPush, PushMode,
@@ -89,7 +90,7 @@ mod tests {
                     "{proc} {dir:?} should not push"
                 );
                 // And the probe agrees without needing the clone.
-                assert!(!push_feasible_n(&part, proc, dir));
+                assert!(!push_feasible_n(&mut part, proc, dir));
             }
         }
     }

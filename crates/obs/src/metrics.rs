@@ -4,7 +4,7 @@
 //! A table row is a `Copy` handle ([`CounterId`], [`HistogramId`], or an
 //! array of them), its wire name and, for a histogram, its bounds. The
 //! registry holds one fixed array of atomics per kind, indexed by handle,
-//! and the process-wide one ([`crate::metrics`]) is a plain `static`: no
+//! and the process-wide one ([`crate::metrics()`]) is a plain `static`: no
 //! lock, map or allocation on the recording path, and a metric missing
 //! from the table does not compile. Recording is gated by an `AtomicBool`
 //! ([`MetricsRegistry::is_enabled`]), one relaxed load per call site.
@@ -378,7 +378,7 @@ pub struct MetricsSnapshot {
 
 /// Every metric of the [`names`] table, with a global recording gate.
 ///
-/// Use [`crate::metrics`] for the process-wide instance. Instruments live
+/// Use [`crate::metrics()`] for the process-wide instance. Instruments live
 /// as long as the registry; a snapshot lists the ones touched so far, and
 /// `reset` zeroes values but keeps that set.
 #[derive(Debug)]

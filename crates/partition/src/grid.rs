@@ -493,14 +493,17 @@ impl NPartition {
         let mut part = NPartition::new(n, k);
         assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
         let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        let mut cells: Vec<(usize, usize)> =
-            (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        // Row-major `u32` cell indices keep the shuffled buffer at 4 bytes
+        // a cell; the shuffle's draws depend only on its length.
+        assert!(n < 1 << 16, "flat cell indices must fit in u32");
+        let mut cells: Vec<u32> = (0..(n * n) as u32).collect();
         cells.shuffle(rng);
         let mut cursor = 0usize;
         for (p, &w) in weights.iter().enumerate().skip(1) {
             let quota = ((n * n) as u64 * u64::from(w) / total) as usize;
-            for &(i, j) in cells.iter().skip(cursor).take(quota) {
-                part.set(i, j, p as u8);
+            for &idx in cells.iter().skip(cursor).take(quota) {
+                let idx = idx as usize;
+                part.set(idx / n, idx % n, p as u8);
             }
             cursor += quota;
         }

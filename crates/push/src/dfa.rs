@@ -255,7 +255,7 @@ impl DfaRunner {
                     known += 1;
                     return false;
                 }
-                push_feasible(&part, p, d)
+                push_feasible(&mut part, p, d)
             })
             .collect();
 
@@ -667,11 +667,11 @@ mod tests {
             .chain(std::iter::once((16, 35)));
         let mut cycles = 0;
         for (n, seed) in runs {
-            let out = DfaRunner::new(DfaConfig::new(n, ratio)).run_seed(seed);
+            let mut out = DfaRunner::new(DfaConfig::new(n, ratio)).run_seed(seed);
             let probed: Vec<(Proc, Direction)> = Proc::PUSHABLE
                 .into_iter()
                 .flat_map(|p| Direction::ALL.into_iter().map(move |d| (p, d)))
-                .filter(|&(p, d)| crate::push_feasible(&out.partition, p, d))
+                .filter(|&(p, d)| crate::push_feasible(&mut out.partition, p, d))
                 .collect();
             assert_eq!(out.residual_pushes, probed, "N = {n}, seed {seed}");
             if out.termination == Termination::NeutralCycle {

@@ -17,7 +17,7 @@
 //! [`NPartition`](hetmmm_partition::NPartition): the six types on three
 //! processors ([`op`]), and three strictness modes on `k` ([`modes`]).
 //! Phase 1 (the cleaned line and the candidate targets), phase 3 (pairing,
-//! swaps and the ΔVoC contract), the two grid views, the probe overlay and
+//! swaps, the ΔVoC contract and the undo), the grid view, the probes and
 //! the DFA walk are shared; only phase 2, which assigns displaced owners,
 //! differs.
 //!
@@ -28,15 +28,15 @@
 //! - [`modes`]: the k-processor rule layer ([`try_push_n`]),
 //! - `targets`: phase 1 of a push — the word-parallel candidate classifier,
 //! - `view`: the canonical frame that lets one implementation serve ↓, ↑,
-//!   ← and →, and the mutable grid view,
+//!   ← and →, and the grid view the kernel works through,
 //! - [`probe`]: clone-free feasibility probes ([`push_feasible`],
-//!   [`push_feasible_n`]) answered by the same kernel through a read-only
-//!   overlay,
+//!   [`push_feasible_n`]) answered by the same kernel on the grid itself,
+//!   which revert the push they find,
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
 //!   sets, random interleaving) with snapshot support (Fig. 7). One walk
 //!   runs it under either rule layer: [`DfaRunner`] for three processors,
 //!   [`walk_n`] for `hetmmm-nproc`'s k-processor runner,
-//! - [`beautify`]: exhaustive condensation in *all* directions, used to
+//! - [`mod@beautify`]: exhaustive condensation in *all* directions, used to
 //!   finish Archetype C shapes (Theorem 8.3); it stops by the walk's rule.
 
 pub mod beautify;

@@ -208,38 +208,27 @@ pub struct AppliedPush {
     pub swaps: usize,
 }
 
-/// Canonical-coordinate grid accessors the push kernel needs, on top of
-/// the line queries of phase 1 ([`LineGrid`]).
-///
-/// Two implementations share the kernel: the mutable [`View`] applies
-/// pushes to a real grid, and the read-only overlay
-/// [`crate::probe::ProbeView`] answers feasibility without cloning or
-/// mutating. One kernel deciding both is what makes
-/// [`crate::probe::push_feasible`] agree with [`try_push_any_type`] (and
-/// `push_feasible_n` with `try_push_n`) by construction — there is no
-/// second legality implementation to drift.
-pub(crate) trait PushGrid: LineGrid {
-    /// Owner of canonical cell `(u, v)`.
-    fn get(&self, u: usize, v: usize) -> u8;
-    /// Swap canonical cells `a` and `b`, which belong to `pa` and `pb`,
-    /// without reading either. A no-op if the owners match.
-    fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8);
-    /// Swap two canonical cells, reading their owners first.
-    #[cfg(test)]
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let (pa, pb) = (self.get(a.0, a.1), self.get(b.0, b.1));
-        self.swap_owned(a, pa, b, pb);
-    }
-    /// VoC line units of the underlying grid.
-    fn voc_units(&self) -> u64;
-}
+/// One swap of an attempt, `(v, target, owner)`: cleaned cell `(line, v)`
+/// took the target's owner, and the target took the active processor.
+pub(crate) type Swap = (usize, (usize, usize), u8);
 
 /// Outcome of a successful attempt, under either rule layer.
 pub(crate) struct AttemptOutcome {
     /// Exact ΔVoC in line units.
     pub(crate) delta: i64,
-    /// Swaps performed.
-    pub(crate) swaps: usize,
+    /// The swaps performed, in order; [`undo`] reverts them.
+    pub(crate) journal: Vec<Swap>,
+}
+
+/// Revert the `journal` of an attempt by `proc` that cleaned canonical row
+/// `line`, last swap first, leaving the grid exactly as it was before the
+/// attempt. A failed attempt rolls back through it, and a probe reverts a
+/// legal one.
+#[inline]
+pub(crate) fn undo(view: &mut View, proc: u8, line: usize, journal: &[Swap]) {
+    for &(v, target, owner) in journal.iter().rev() {
+        view.swap_owned((line, v), owner, target, proc);
+    }
 }
 
 /// Phase 3 of a push, shared by both rule layers — pair each cleaned
@@ -251,10 +240,11 @@ pub(crate) struct AttemptOutcome {
 /// active lines (0, 1 or 2) is skipped unless `admissible(cost,
 /// dirty_used)` holds, where `dirty_used` sums the costs of the swaps so
 /// far. The contract is `ΔVoC < 0` when `strict_decrease`, else
-/// `ΔVoC ≤ 0`. On failure every swap is rolled back and the grid is left
+/// `ΔVoC ≤ 0`. On failure every swap is undone and the grid is left
 /// exactly as it was.
-pub(crate) fn commit<G: PushGrid>(
-    view: &mut G,
+#[inline]
+pub(crate) fn commit(
+    view: &mut View,
     proc: u8,
     prep: &Candidates,
     assignment: &[usize],
@@ -263,9 +253,7 @@ pub(crate) fn commit<G: PushGrid>(
     voc_before: i64,
 ) -> Option<AttemptOutcome> {
     let k = prep.line;
-    // `(v, target, owner)` per swap: cleaned cell `(k, v)` now holds the
-    // target's owner, and the target holds `proc`.
-    let mut journal: Vec<(usize, (usize, usize), u8)> = Vec::with_capacity(prep.cleaned.len());
+    let mut journal: Vec<Swap> = Vec::with_capacity(prep.cleaned.len());
     let mut dirty_used = 0usize;
     let mut next_target = vec![0usize; prep.owners.len()];
     let mut ok = true;
@@ -311,10 +299,7 @@ pub(crate) fn commit<G: PushGrid>(
         delta <= 0
     };
     if !ok || !contract_ok {
-        // Roll back every swap in reverse order.
-        for &(v, target, owner) in journal.iter().rev() {
-            view.swap_owned((k, v), owner, target, proc);
-        }
+        undo(view, proc, k, &journal);
         debug_assert_eq!(
             view.voc_units() as i64,
             voc_before,
@@ -322,18 +307,16 @@ pub(crate) fn commit<G: PushGrid>(
         );
         return None;
     }
-    Some(AttemptOutcome {
-        delta,
-        swaps: journal.len(),
-    })
+    Some(AttemptOutcome { delta, journal })
 }
 
 /// Phase 2 of a push of `ty` — which displaced owner fills each vacated
 /// position — then phase 3 ([`commit`]) under the type's active-side rule
 /// and ΔVoC contract. Three processors only: the two displaced owners of
 /// `prep` are the other two.
-pub(crate) fn attempt<G: PushGrid>(
-    view: &mut G,
+#[inline]
+pub(crate) fn attempt(
+    view: &mut View,
     proc: u8,
     ty: PushType,
     prep: &Candidates,
@@ -488,7 +471,7 @@ pub(crate) fn try_ladder(
             dir,
             ty,
             delta_voc_units: out.delta,
-            swaps: out.swaps,
+            swaps: out.journal.len(),
         })
     })
 }
@@ -497,8 +480,8 @@ pub(crate) fn try_ladder(
 /// be legal?
 ///
 /// Kept only as the test oracle for [`crate::probe::push_feasible`], which
-/// answers the same question without cloning or mutating. Production code
-/// must use the probe.
+/// answers the same question on the grid itself and reverts what it
+/// applied. Production code must use the probe.
 #[cfg(test)]
 pub(crate) fn would_push_reference(part: &Partition, proc: Proc, dir: Direction) -> bool {
     let mut scratch = part.clone();

@@ -27,16 +27,16 @@
 //!    line, bit for bit ([`LineGrid::line_word`]), and so is the line's
 //!    nonzero-word summary ([`LineGrid::nonzero_words`]).
 //!
-//! Both grid views hold a [`Frame`]: the mutable [`View`] here, and the
-//! read-only probe overlay [`crate::probe::ProbeView`].
+//! The push kernel (phase 1, both rule layers' phase 2, phase 3 and its
+//! undo) works through one [`View`]: a [`Frame`] over a mutable grid.
 
-use crate::op::{Direction, PushGrid};
+use crate::op::Direction;
 use crate::targets::LineGrid;
 use hetmmm_partition::NPartition;
 
 /// Which real axis a canonical line maps to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Axis {
+enum Axis {
     /// A real row: row counts and the row-major bit-plane.
     Row,
     /// A real column: column counts and the transposed bit-plane.
@@ -46,20 +46,20 @@ pub(crate) enum Axis {
 /// The canonical frame of a push direction on an `n x n` grid (the table
 /// in the [module documentation](self)).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Frame {
+struct Frame {
     dir: Direction,
     n: usize,
 }
 
 impl Frame {
     /// The frame of pushing in `dir` on an `n x n` grid.
-    pub(crate) fn new(dir: Direction, n: usize) -> Frame {
+    fn new(dir: Direction, n: usize) -> Frame {
         Frame { dir, n }
     }
 
     /// Canonical cell `(u, v)` to real cell `(i, j)`.
     #[inline]
-    pub(crate) fn map(self, u: usize, v: usize) -> (usize, usize) {
+    fn map(self, u: usize, v: usize) -> (usize, usize) {
         match self.dir {
             Direction::Down => (u, v),
             Direction::Up => (self.n - 1 - u, v),
@@ -70,7 +70,7 @@ impl Frame {
 
     /// The real line holding canonical row `u`.
     #[inline]
-    pub(crate) fn row_line(self, u: usize) -> (usize, Axis) {
+    fn row_line(self, u: usize) -> (usize, Axis) {
         match self.dir {
             Direction::Down => (u, Axis::Row),
             Direction::Up => (self.n - 1 - u, Axis::Row),
@@ -82,58 +82,16 @@ impl Frame {
     /// The real line holding canonical column `v`. Within-line indices are
     /// never flipped, so the line index is always `v` itself.
     #[inline]
-    pub(crate) fn col_line(self, v: usize) -> (usize, Axis) {
+    fn col_line(self, v: usize) -> (usize, Axis) {
         match self.dir {
             Direction::Down | Direction::Up => (v, Axis::Col),
             Direction::Right | Direction::Left => (v, Axis::Row),
         }
     }
-
-    /// Elements of owner `p` in a real line of `grid`.
-    #[inline]
-    pub(crate) fn count(self, grid: &NPartition, p: u8, (line, axis): (usize, Axis)) -> u32 {
-        match axis {
-            Axis::Row => grid.row_count(p, line),
-            Axis::Col => grid.col_count(p, line),
-        }
-    }
-
-    /// `p`'s enclosing rectangle in `grid`, as canonical `(top, bottom,
-    /// left, right)`.
-    pub(crate) fn rect(self, grid: &NPartition, p: u8) -> Option<(usize, usize, usize, usize)> {
-        let r = grid.enclosing_rect(p)?;
-        let n = self.n;
-        Some(match self.dir {
-            Direction::Down => (r.top, r.bottom, r.left, r.right),
-            Direction::Up => (n - 1 - r.bottom, n - 1 - r.top, r.left, r.right),
-            Direction::Right => (r.left, r.right, r.top, r.bottom),
-            Direction::Left => (n - 1 - r.right, n - 1 - r.left, r.top, r.bottom),
-        })
-    }
-
-    /// Word `w` of `p`'s canonical-row-`u` plane line in `grid`, verbatim
-    /// from the row or column planes (fact 2 of the module docs).
-    #[inline]
-    pub(crate) fn line_word(self, grid: &NPartition, p: u8, u: usize, w: usize) -> u64 {
-        match self.row_line(u) {
-            (i, Axis::Row) => grid.row_plane_word(p, i, w),
-            (j, Axis::Col) => grid.col_plane_word(p, j, w),
-        }
-    }
-
-    /// The nonzero-word summary of `p`'s canonical-row-`u` plane line in
-    /// `grid`, from word `w` on.
-    #[inline]
-    pub(crate) fn nonzero_words(self, grid: &NPartition, p: u8, u: usize, w: usize) -> u64 {
-        match self.row_line(u) {
-            (i, Axis::Row) => grid.row_nonzero_words(p, i, w),
-            (j, Axis::Col) => grid.col_nonzero_words(p, j, w),
-        }
-    }
 }
 
-/// A mutable, direction-canonicalized window onto a grid. The push kernel
-/// sees it through the same traits as the read-only probe overlay.
+/// A mutable, direction-canonicalized window onto a grid: the push kernel
+/// reads and swaps canonical cells through it.
 pub(crate) struct View<'a> {
     part: &'a mut NPartition,
     frame: Frame,
@@ -145,50 +103,82 @@ impl<'a> View<'a> {
         let frame = Frame::new(dir, part.n());
         View { part, frame }
     }
+
+    /// Elements of owner `p` in a real line.
+    #[inline]
+    fn count(&self, p: u8, (line, axis): (usize, Axis)) -> u32 {
+        match axis {
+            Axis::Row => self.part.row_count(p, line),
+            Axis::Col => self.part.col_count(p, line),
+        }
+    }
+
+    /// Owner of canonical cell `(u, v)`.
+    #[inline]
+    pub(crate) fn get(&self, u: usize, v: usize) -> u8 {
+        let (i, j) = self.frame.map(u, v);
+        self.part.get(i, j)
+    }
+
+    /// Swap canonical cells `a` and `b`, which belong to `pa` and `pb`,
+    /// without reading either. A no-op if the owners match.
+    #[inline]
+    pub(crate) fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8) {
+        self.part
+            .swap_owned(self.frame.map(a.0, a.1), pa, self.frame.map(b.0, b.1), pb);
+    }
+
+    /// Swap two canonical cells, reading their owners first.
+    #[cfg(test)]
+    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+        let (pa, pb) = (self.get(a.0, a.1), self.get(b.0, b.1));
+        self.swap_owned(a, pa, b, pb);
+    }
+
+    /// VoC line units of the underlying grid.
+    #[inline]
+    pub(crate) fn voc_units(&self) -> u64 {
+        self.part.voc_units()
+    }
 }
 
 impl LineGrid for View<'_> {
     #[inline]
     fn row_count(&self, p: u8, u: usize) -> u32 {
-        self.frame.count(self.part, p, self.frame.row_line(u))
+        self.count(p, self.frame.row_line(u))
     }
 
     #[inline]
     fn col_count(&self, p: u8, v: usize) -> u32 {
-        self.frame.count(self.part, p, self.frame.col_line(v))
+        self.count(p, self.frame.col_line(v))
     }
 
     fn enclosing_rect(&self, p: u8) -> Option<(usize, usize, usize, usize)> {
-        self.frame.rect(self.part, p)
+        let r = self.part.enclosing_rect(p)?;
+        let n = self.frame.n;
+        Some(match self.frame.dir {
+            Direction::Down => (r.top, r.bottom, r.left, r.right),
+            Direction::Up => (n - 1 - r.bottom, n - 1 - r.top, r.left, r.right),
+            Direction::Right => (r.left, r.right, r.top, r.bottom),
+            Direction::Left => (n - 1 - r.right, n - 1 - r.left, r.top, r.bottom),
+        })
     }
 
+    /// Verbatim from the row or column planes (fact 2 of the module docs).
     #[inline]
     fn line_word(&self, p: u8, u: usize, w: usize) -> u64 {
-        self.frame.line_word(self.part, p, u, w)
+        match self.frame.row_line(u) {
+            (i, Axis::Row) => self.part.row_plane_word(p, i, w),
+            (j, Axis::Col) => self.part.col_plane_word(p, j, w),
+        }
     }
 
     #[inline]
     fn nonzero_words(&self, p: u8, u: usize, w: usize) -> u64 {
-        self.frame.nonzero_words(self.part, p, u, w)
-    }
-}
-
-impl PushGrid for View<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> u8 {
-        let (i, j) = self.frame.map(u, v);
-        self.part.get(i, j)
-    }
-
-    #[inline]
-    fn swap_owned(&mut self, a: (usize, usize), pa: u8, b: (usize, usize), pb: u8) {
-        self.part
-            .swap_owned(self.frame.map(a.0, a.1), pa, self.frame.map(b.0, b.1), pb);
-    }
-
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        self.part.voc_units()
+        match self.frame.row_line(u) {
+            (i, Axis::Row) => self.part.row_nonzero_words(p, i, w),
+            (j, Axis::Col) => self.part.col_nonzero_words(p, j, w),
+        }
     }
 }
 

@@ -63,8 +63,8 @@ fn all_3x3_states_condense_monotonically() {
 /// one push — i.e. pushes never stop while a single push could improve.
 #[test]
 fn fixed_points_have_no_single_push_improvement() {
-    for part in all_assignments(2) {
-        if !is_condensed(&part) {
+    for mut part in all_assignments(2) {
+        if !is_condensed(&mut part) {
             continue;
         }
         // No single push (of any type) strictly improves a condensed state

@@ -14,7 +14,7 @@
 //!   program's "beautify" pass) finishes the job.
 //! - **Theorem 8.4** — an Archetype D "surround" reduces to B by moving the
 //!   inner rectangle to a corner of the outer enclosing rectangle
-//!   (the two-processor canonical-form move of [8]), then to A by
+//!   (the two-processor canonical-form move of \[8\]), then to A by
 //!   Theorem 8.2.
 //!
 //! [`reduce_to_archetype_a`] composes all of the above into a single

@@ -1,7 +1,7 @@
 //! The prior-work optimality analysis: Square-Corner vs Straight-Line
 //! across speed ratios and all five algorithms.
 //!
-//! Reproduces the headline results of [8] that motivate the
+//! Reproduces the headline results of \[8\] that motivate the
 //! three-processor study (Section I):
 //!
 //! - under SCB, PCB and PIO, the Square-Corner becomes optimal once the

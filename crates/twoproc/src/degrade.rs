@@ -4,7 +4,7 @@
 //! When one of the three workers dies mid-multiply, the remaining C
 //! elements of the dead processor must be re-assigned onto the two
 //! survivors. This is exactly the paper's two-processor degenerate case:
-//! the prior work ([8], see [`crate::analysis`]) proved that the optimal
+//! the prior work (\[8\], see [`crate::analysis`]) proved that the optimal
 //! two-processor arrangement is the Straight-Line strip below a 3:1 speed
 //! ratio and the Square-Corner above it. [`degrade_partition`] applies
 //! that result *locally*: survivors keep every cell they already own (so

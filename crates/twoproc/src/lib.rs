@@ -1,7 +1,7 @@
 //! # hetmmm-twoproc
 //!
 //! The two-processor substrate: the shapes, optimality results and Push
-//! behaviour of the paper's prior work ([8], DeFlumere, Lastovetsky &
+//! behaviour of the paper's prior work (\[8\], DeFlumere, Lastovetsky &
 //! Becker, HCW 2012), which the three-processor study extends.
 //!
 //! For two processors (one fast, one slow) the prior work proved that only
@@ -16,7 +16,7 @@
 //! exceeds 3:1 under the barrier / interleaved algorithms (SCB, PCB, PIO)
 //! and for *all* ratios under bulk overlap (SCO, PCO).
 //!
-//! We embed the two-processor world into the three-processor [`Partition`]
+//! We embed the two-processor world into the three-processor [`Partition`](hetmmm_partition::Partition)
 //! by leaving processor `R` empty: the fast processor is `P`, the slow one
 //! `S`. All three-processor machinery (Push, cost models, simulator,
 //! executor) then applies unchanged — which is itself a regression test of

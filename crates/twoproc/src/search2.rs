@@ -1,7 +1,7 @@
 //! The two-processor shape search — the prior work's experiment, run on
 //! this reproduction's Push machinery.
 //!
-//! [8] proved analytically that for two processors the Push always reduces
+//! \[8\] proved analytically that for two processors the Push always reduces
 //! an arbitrary arrangement to one of three shapes (Straight-Line,
 //! Square-Corner, Rectangle-Corner). We can *demonstrate* that with the
 //! three-processor engine by leaving `R` empty: the DFA then degenerates to
@@ -35,11 +35,15 @@ pub enum TwoProcOutcome {
 pub fn random_two_proc(n: usize, fast: u32, slow: u32, rng: &mut StdRng) -> Partition {
     let total = u64::from(fast) + u64::from(slow);
     let quota = ((n * n) as u64 * u64::from(slow) / total) as usize;
-    let mut cells: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+    // Row-major `u32` cell indices keep the shuffled buffer at 4 bytes
+    // a cell; the shuffle's draws depend only on its length.
+    assert!(n < 1 << 16, "flat cell indices must fit in u32");
+    let mut cells: Vec<u32> = (0..(n * n) as u32).collect();
     cells.shuffle(rng);
     let mut part = Partition::new(n, Proc::P);
-    for &(i, j) in cells.iter().take(quota) {
-        part.set(i, j, Proc::S);
+    for &idx in cells.iter().take(quota) {
+        let idx = idx as usize;
+        part.set(idx / n, idx % n, Proc::S);
     }
     part
 }

@@ -1,4 +1,4 @@
-//! The three surviving two-processor shapes of [8].
+//! The three surviving two-processor shapes of \[8\].
 
 use hetmmm_partition::{Partition, Proc};
 use serde::{Deserialize, Serialize};
@@ -154,8 +154,8 @@ mod tests {
     #[test]
     fn square_corner_is_push_fixed_point() {
         use hetmmm_push::is_condensed;
-        let part = TwoProcShape::SquareCorner.construct(30, 4, 1);
-        assert!(is_condensed(&part));
+        let mut part = TwoProcShape::SquareCorner.construct(30, 4, 1);
+        assert!(is_condensed(&mut part));
     }
 
     #[test]

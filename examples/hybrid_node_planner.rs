@@ -1,7 +1,7 @@
 //! Scenario: planning the data layout for a hybrid compute node.
 //!
 //! The paper motivates the three-processor abstraction with modern hybrid
-//! nodes (Section I, citing [9]): a GPU, a multicore socket, and a host
+//! nodes (Section I, citing \[9\]): a GPU, a multicore socket, and a host
 //! core modeled as three abstract processors of very different speeds.
 //! This example plans the MMM data layout for such a node across a range
 //! of GPU-to-CPU speed gaps and two interconnect qualities, showing where

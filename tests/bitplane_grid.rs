@@ -195,7 +195,7 @@ fn probe_agrees_with_reference_across_word_boundaries() {
         for _ in 0..3 {
             for proc in 1..3u8 {
                 for dir in NDirection::ALL {
-                    let probe = push_feasible_n(&part, proc, dir);
+                    let probe = push_feasible_n(&mut part, proc, dir);
                     let mut clone = part.clone();
                     let oracle = try_push_n(&mut clone, proc, dir).is_some();
                     assert_eq!(probe, oracle, "n={n} proc={proc} {dir:?}");

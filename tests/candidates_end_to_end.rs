@@ -8,7 +8,7 @@ use hetmmm::shapes::classify_tolerant;
 #[test]
 fn every_candidate_is_a_condensed_archetype_a() {
     for ratio in Ratio::paper_ratios() {
-        for c in all_feasible(48, ratio) {
+        for mut c in all_feasible(48, ratio) {
             // Tolerant classification: the slack-column Traditional-
             // Rectangle keeps a dense two-line ragged region (see the
             // constructor docs) the strict Fig. 3 definition rejects.
@@ -19,7 +19,7 @@ fn every_candidate_is_a_condensed_archetype_a() {
                 c.ty
             );
             assert!(
-                is_condensed(&c.partition),
+                is_condensed(&mut c.partition),
                 "{} at {ratio} still admits a push",
                 c.ty
             );

@@ -80,7 +80,7 @@ proptest! {
         beautify(&mut part);
         prop_assert!(part.voc() <= voc0);
         part.assert_invariants();
-        if is_condensed(&part) {
+        if is_condensed(&mut part) {
             let snapshot = part.clone();
             let extra = beautify(&mut part);
             prop_assert_eq!(extra, 0);

@@ -41,9 +41,9 @@ fn census_report_roundtrips_through_json() {
 #[test]
 fn one_by_one_matrix() {
     // Everything must handle N = 1 without panicking.
-    let part = Partition::new(1, Proc::P);
+    let mut part = Partition::new(1, Proc::P);
     assert_eq!(part.voc(), 0);
-    assert!(is_condensed(&part));
+    assert!(is_condensed(&mut part));
     let ratio = Ratio::new(3, 2, 1);
     let plat = Platform::new(ratio, 1e9, 1e-9);
     for algo in Algorithm::ALL {
@@ -56,12 +56,12 @@ fn one_by_one_matrix() {
 
     // The only row and column change owner: the transient VoC accounting
     // must not underflow.
-    let part = Partition::from_fn(1, |_, _| Proc::R);
+    let mut part = Partition::from_fn(1, |_, _| Proc::R);
     assert_eq!(part.get(0, 0), Proc::R);
     assert_eq!(part.voc(), 0);
     assert_eq!(part.elems(Proc::P), 0);
     part.assert_invariants();
-    assert!(is_condensed(&part));
+    assert!(is_condensed(&mut part));
 }
 
 #[test]

@@ -22,10 +22,13 @@ type ThreeProcRow = (
     u64,
 );
 
-// One row per line keeps the table reviewable. The last three are at
+// One row per line keeps the table reviewable. The last five are at
 // the paper's N = 1000: 16 plane words per line, the last one partial.
+// The final two are the hardest known runs: 2:2:1 seed 37 stops after
+// 930 pushes at an interlocked fixed point, S scattered through R's box,
+// and 3:2:1 seed 9 stops at a non-shape of 69,358 corners.
 #[rustfmt::skip]
-const THREE_PROC: [ThreeProcRow; 21] = [
+const THREE_PROC: [ThreeProcRow; 23] = [
     (65, (2, 1, 1), 1, 110, 9360, Termination::FixedPoint, [107, 0, 1, 0, 2, 0], 0, 0xf03bc88197c6919c),
     (65, (2, 1, 1), 2, 79, 9555, Termination::FixedPoint, [39, 0, 18, 0, 0, 22], 0, 0x7499e4bcb8f7f35c),
     (65, (2, 1, 1), 3, 94, 10140, Termination::FixedPoint, [90, 0, 0, 0, 3, 1], 0, 0xc15fac0288f2872b),
@@ -47,6 +50,8 @@ const THREE_PROC: [ThreeProcRow; 21] = [
     (1000, (2, 1, 1), 1, 1684, 2062000, Termination::FixedPoint, [1683, 0, 1, 0, 0, 0], 0, 0xd131aa3bb79cd659),
     (1000, (5, 2, 1), 1, 1565, 2291000, Termination::FixedPoint, [1565, 0, 0, 0, 0, 0], 1, 0xc462d4c3a4aaedeb),
     (1000, (10, 1, 1), 1, 2493, 1360000, Termination::FixedPoint, [2223, 0, 0, 0, 270, 0], 0, 0x5423a06276b09eb2),
+    (1000, (2, 2, 1), 37, 930, 3015000, Termination::FixedPoint, [927, 0, 1, 0, 0, 2], 0, 0x63963f5b0d9b4d03),
+    (1000, (3, 2, 1), 9, 1187, 2398000, Termination::FixedPoint, [1171, 0, 0, 0, 16, 0], 2, 0xf8b95e90d5f1df86),
 ];
 
 /// `(weights, seed, steps, voc_final, converged, cycled, state hash)` of

@@ -4,6 +4,7 @@
 use hetmmm_partition::Ratio;
 use hetmmm_push::{beautify, DfaConfig, DfaRunner};
 use hetmmm_shapes::{classify_coarse, Archetype};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a census run.
@@ -55,8 +56,11 @@ pub struct CensusReport {
     pub config: CensusConfig,
     /// Fixed points classified per archetype `[A, B, C, D]`.
     pub counts: [usize; 4],
-    /// Fixed points the tolerant coarse classifier could not group —
-    /// borderline staircase boundaries at small `N`, never random scatter.
+    /// Fixed points that neither the strict classifier nor the tolerant
+    /// coarse one places in an archetype. Not all are staircase
+    /// boundaries: the default census (N = 100, 11 ratios × 200 runs)
+    /// has 117 of 2,200, and at N = 1000 some interleave with more than
+    /// 1,000 corners (see `hetmmm_shapes::archetype`).
     pub non_shapes: usize,
     /// Runs that failed to converge before the step caps (0 expected).
     pub unconverged: usize,
@@ -95,13 +99,49 @@ impl CensusReport {
     }
 }
 
+/// What one run of a census contributes to its report.
+struct RunSummary {
+    converged: bool,
+    voc_initial: u64,
+    steps: usize,
+    /// VoC after `beautify`.
+    voc_final: u64,
+    archetype: Archetype,
+}
+
+/// One census run: the seeded DFA search, its residual pushes exhausted
+/// (Theorem 8.3), its fixed point classified at `blocks` granularity.
+/// The partition is dropped here, so only the summary outlives the run.
+fn summarize(runner: &DfaRunner, seed: u64, blocks: usize) -> RunSummary {
+    let out = runner.run_seed(seed);
+    // A coarse span of its own, beside `dfa.run` on the worker thread, so
+    // that beautify's and classify's fine spans nest under one.
+    let _span = hetmmm_obs::span_arg("census.summary", seed);
+    let mut part = out.partition;
+    beautify(&mut part);
+    RunSummary {
+        converged: out.converged,
+        voc_initial: out.voc_initial,
+        steps: out.steps,
+        voc_final: part.voc(),
+        archetype: classify_coarse(&part, blocks),
+    }
+}
+
 /// Run the census: `runs` seeded DFA searches, residual pushes exhausted
 /// (Theorem 8.3), fixed points classified at the paper's viewing
-/// granularity. Runs fan out over rayon.
+/// granularity. Runs fan out over rayon, and each worker reduces its runs
+/// to small summaries, so memory does not grow with the run count. The
+/// summaries fold in seed order, so the means are summed in the same
+/// order at any thread count.
 pub fn census(config: &CensusConfig) -> CensusReport {
     let _span = hetmmm_obs::span_arg("census.run", config.runs);
     let runner = DfaRunner::new(DfaConfig::new(config.n, config.ratio));
-    let outcomes = runner.run_many(config.seed0..config.seed0 + config.runs);
+    let seeds: Vec<u64> = (config.seed0..config.seed0 + config.runs).collect();
+    let runs: Vec<RunSummary> = seeds
+        .par_iter()
+        .map(|&seed| summarize(&runner, seed, config.blocks))
+        .collect();
 
     let mut counts = [0usize; 4];
     let mut non_shapes = 0usize;
@@ -109,18 +149,16 @@ pub fn census(config: &CensusConfig) -> CensusReport {
     let mut sum_initial = 0.0;
     let mut sum_final = 0.0;
     let mut sum_steps = 0.0;
-    let total = outcomes.len().max(1);
+    let total = runs.len().max(1);
 
-    for out in outcomes {
-        if !out.converged {
+    for run in runs {
+        if !run.converged {
             unconverged += 1;
         }
-        sum_initial += out.voc_initial as f64;
-        sum_steps += out.steps as f64;
-        let mut part = out.partition;
-        beautify(&mut part);
-        sum_final += part.voc() as f64;
-        match classify_coarse(&part, config.blocks) {
+        sum_initial += run.voc_initial as f64;
+        sum_steps += run.steps as f64;
+        sum_final += run.voc_final as f64;
+        match run.archetype {
             Archetype::A => counts[0] += 1,
             Archetype::B => counts[1] += 1,
             Archetype::C => counts[2] += 1,

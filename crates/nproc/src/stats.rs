@@ -18,7 +18,8 @@ pub struct ProcShapeStats {
     /// Fill ratio of the enclosing rectangle (1.0 = exact rectangle);
     /// 0 for an empty region.
     pub fill: f64,
-    /// Boundary vertex count (2×2-window method).
+    /// Boundary vertex count ([`NPartition::corner_count`], the
+    /// word-wise 2×2-window scan).
     pub corners: usize,
 }
 
@@ -34,32 +35,6 @@ pub struct OutcomeStats {
     pub voc: u64,
 }
 
-/// Corner count of processor `proc`'s region (2×2-window scan).
-pub fn corner_count_n(part: &NPartition, proc: u8) -> usize {
-    let n = part.n();
-    let inside = |i: isize, j: isize| -> bool {
-        if i < 0 || j < 0 || i >= n as isize || j >= n as isize {
-            return false;
-        }
-        part.get(i as usize, j as usize) == proc
-    };
-    let mut corners = 0usize;
-    for i in -1..n as isize {
-        for j in -1..n as isize {
-            let a = inside(i, j);
-            let b = inside(i, j + 1);
-            let c = inside(i + 1, j);
-            let d = inside(i + 1, j + 1);
-            match usize::from(a) + usize::from(b) + usize::from(c) + usize::from(d) {
-                1 | 3 => corners += 1,
-                2 if (a && d && !b && !c) || (b && c && !a && !d) => corners += 2,
-                _ => {}
-            }
-        }
-    }
-    corners
-}
-
 /// Compute the descriptors for a partition.
 pub fn outcome_stats(part: &NPartition) -> OutcomeStats {
     let k = part.k();
@@ -72,7 +47,7 @@ pub fn outcome_stats(part: &NPartition) -> OutcomeStats {
             ProcShapeStats {
                 elems,
                 fill,
-                corners: corner_count_n(part, p),
+                corners: part.corner_count(p),
             }
         })
         .collect();
@@ -143,6 +118,6 @@ mod tests {
                 part.set(i, j, 1);
             }
         }
-        assert_eq!(corner_count_n(&part, 1), 6);
+        assert_eq!(part.corner_count(1), 6);
     }
 }

@@ -27,7 +27,8 @@
 //! - [`proc_`]: the processor enum and speed-ratio arithmetic,
 //! - [`rect`]: inclusive integer rectangles (enclosing rectangles, Fig. 4),
 //! - [`grid`]: the plane store [`NPartition`] for `k` owners and its
-//!   three-processor form, the [`Partition`] grid,
+//!   three-processor form, the [`Partition`] grid, and its word-wise corner
+//!   count ([`NPartition::corner_count`]),
 //! - [`metrics`]: extracted communication metrics consumed by the cost models,
 //! - [`builder`]: constructing partitions from rectangle layouts and the
 //!   paper's randomized `q0` generator (Section VI-A-2),
@@ -35,6 +36,7 @@
 
 pub mod bits;
 pub mod builder;
+mod corners;
 pub mod grid;
 pub mod metrics;
 pub mod proc_;

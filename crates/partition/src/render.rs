@@ -9,14 +9,29 @@
 use crate::grid::Partition;
 use crate::proc_::Proc;
 
-/// Majority owner of the block of cells `[i0, i1) x [j0, j1)`.
+/// Majority owner of the block of cells `[i0, i1) x [j0, j1)`, ties to
+/// the lower `q`. Each row's count of an owner is a masked popcount of
+/// its plane words over the block's columns; `P` holds the rest.
 fn majority_owner(part: &Partition, i0: usize, i1: usize, j0: usize, j1: usize) -> Proc {
+    let (w0, w1) = (j0 / 64, (j1 - 1) / 64);
+    let mask = |w: usize| {
+        let lo = if w == w0 { !0u64 << (j0 % 64) } else { !0 };
+        let hi = if w == w1 && j1 % 64 != 0 {
+            (1u64 << (j1 % 64)) - 1
+        } else {
+            !0
+        };
+        lo & hi
+    };
     let mut counts = [0usize; 3];
     for i in i0..i1 {
-        for j in j0..j1 {
-            counts[part.get(i, j).idx()] += 1;
+        for proc in Proc::PUSHABLE {
+            counts[proc.idx()] += (w0..=w1)
+                .map(|w| (part.row_plane_word(proc, i, w) & mask(w)).count_ones() as usize)
+                .sum::<usize>();
         }
     }
+    counts[Proc::P.idx()] = (i1 - i0) * (j1 - j0) - counts[Proc::R.idx()] - counts[Proc::S.idx()];
     let mut best = 0;
     for k in 1..3 {
         if counts[k] > counts[best] {

@@ -14,8 +14,9 @@
 //! rayon — the paper ran "multiple instances of the program on multiple
 //! processors" of a cluster for the same reason.
 
+use crate::ladder::RuleLayer;
 use crate::op::{Direction, PushType};
-use crate::probe::{push_feasible, RuleLayer};
+use crate::probe::push_feasible;
 use hetmmm_error::{HetmmmError, NonConvergence};
 use hetmmm_obs as obs;
 use hetmmm_obs::metrics::names;

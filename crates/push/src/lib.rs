@@ -16,16 +16,21 @@
 //! One push engine serves two rule layers over the one plane store,
 //! [`NPartition`](hetmmm_partition::NPartition): the six types on three
 //! processors ([`op`]), and three strictness modes on `k` ([`modes`]).
-//! Phase 1 (the cleaned line and the candidate targets), phase 3 (pairing,
-//! swaps, the ΔVoC contract and the undo), the grid view, the probes and
-//! the DFA walk are shared; only phase 2, which assigns displaced owners,
-//! differs.
+//! Each layer is a ladder of rungs tried strictest first. Phase 1 (the
+//! cleaned line and the candidate targets), the ladder driver (phase 3's
+//! pairing, swaps, ΔVoC contract and undo, each rung decided once), the
+//! grid view, the probes and the DFA walk are shared; only phase 2, which
+//! assigns displaced owners, differs.
 //!
 //! Modules:
-//! - [`op`]: directions, push types, the shared phase 3, and the atomic
-//!   [`op::try_push`] / [`op::try_push_any_type`] operations with exact
-//!   ΔVoC accounting and rollback,
+//! - [`op`]: directions, push types, the three-processor phase 2, and the
+//!   atomic [`op::try_push`] / [`op::try_push_any_type`] operations with
+//!   exact ΔVoC accounting and rollback,
 //! - [`modes`]: the k-processor rule layer ([`try_push_n`]),
+//! - `ladder`: the driver both layers climb — phase 2 once per
+//!   displaced-side class, phase 3 recorded so that later rungs that
+//!   would repeat it share its journal, and a failed journal kept applied
+//!   until a rung diverges,
 //! - `targets`: phase 1 of a push — the word-parallel candidate classifier,
 //! - `view`: the canonical frame that lets one implementation serve ↓, ↑,
 //!   ← and →, and the grid view the kernel works through,
@@ -41,6 +46,7 @@
 
 pub mod beautify;
 pub mod dfa;
+mod ladder;
 pub mod modes;
 pub mod op;
 pub mod probe;

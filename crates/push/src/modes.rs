@@ -9,13 +9,14 @@
 //! `Strict` and `Budgeted` commit only on strict decrease, `Relaxed` on
 //! non-increase.
 //!
-//! Phase 1 (`targets::prepare`), phase 3 (`op::commit`) and its undo, the
-//! grid view and the probe are the ones the six types use; only phase 2
-//! and the admissibility rules differ, which is why the two layers assign
-//! owners differently and stay two.
+//! Phase 1 (`targets::prepare`), the ladder driver (`ladder`: phase 3,
+//! its record and undo), the grid view and the probe are the ones the six
+//! types use; only phase 2 and the rungs differ, which is why the two
+//! layers assign owners differently and stay two.
 
-use crate::op::{commit, AttemptOutcome, Direction};
-use crate::targets::{prepare, Candidates, LineGrid};
+use crate::ladder::{climb, ActiveSide, Finish, RuleLayer, Rung};
+use crate::op::Direction;
+use crate::targets::{Candidates, LineGrid};
 use crate::view::View;
 use hetmmm_partition::NPartition;
 use serde::{Deserialize, Serialize};
@@ -35,6 +36,31 @@ pub enum PushMode {
 impl PushMode {
     /// The ladder order `try_push_n` uses.
     pub const ALL: [PushMode; 3] = [PushMode::Strict, PushMode::Budgeted, PushMode::Relaxed];
+
+    /// The ladder of `try_push_n`: one rung per mode, in
+    /// [`PushMode::ALL`] order.
+    pub(crate) const RUNGS: [Rung; 3] = [
+        PushMode::Strict.rung(),
+        PushMode::Budgeted.rung(),
+        PushMode::Relaxed.rung(),
+    ];
+
+    /// This mode's rung. Strict admits a target of cost 0, or one whose
+    /// cost keeps the push's dirty total at 1 or less; the total then never
+    /// exceeds 1, so that is the one-dirty rule.
+    pub(crate) const fn rung(self) -> Rung {
+        let (displaced_strict, active, strict_decrease) = match self {
+            PushMode::Strict => (true, ActiveSide::OneDirty, true),
+            PushMode::Budgeted => (true, ActiveSide::Budgeted, true),
+            PushMode::Relaxed => (false, ActiveSide::Budgeted, false),
+        };
+        Rung {
+            index: self as usize,
+            displaced_strict,
+            active,
+            strict_decrease,
+        }
+    }
 }
 
 /// Result of an applied generalized push.
@@ -52,30 +78,25 @@ pub struct NAppliedPush {
     pub swaps: usize,
 }
 
-/// Phase 2 under one mode — assign an owner to each vacated position —
-/// then phase 3 ([`commit`]) under the mode's active-side rule and ΔVoC
-/// contract. Rolls back completely on failure.
+/// Phase 2 of a k-processor push — assign an owner slot to each vacated
+/// position — under the displaced-side class `displaced_strict`; `None`
+/// when no assignment exists.
+///
+/// A position is free for an owner when that owner already occupies both
+/// the cleaned line and the position's cross line. A position free for
+/// exactly one owner with spare targets takes it; the others take, in
+/// order, the first free owner with spare targets, then (unless
+/// displaced-strict) the first other one.
 #[inline]
-pub(crate) fn attempt(
-    view: &mut View,
-    proc: u8,
-    mode: PushMode,
-    prep: &Candidates,
-    voc_before: i64,
-) -> Option<AttemptOutcome> {
+pub(crate) fn assign(view: &View, prep: &Candidates, displaced_strict: bool) -> Option<Vec<usize>> {
     let kline = prep.line;
     let cleaned = &prep.cleaned;
     let owners = &prep.owners;
-    let m = cleaned.len();
-
-    // A position is free for an owner when that owner already occupies
-    // both the cleaned line and the position's cross line.
     let row_k_has: Vec<bool> = owners.iter().map(|&o| view.row_has(o, kline)).collect();
     let free = |s: usize, v: usize| row_k_has[s] && view.col_has(owners[s], v);
-    let displaced_strict = !matches!(mode, PushMode::Relaxed);
     let mut demand = vec![0usize; owners.len()];
     let avail: Vec<usize> = prep.owner_targets.iter().map(Vec::len).collect();
-    let mut assignment: Vec<usize> = Vec::with_capacity(m);
+    let mut assignment: Vec<usize> = Vec::with_capacity(cleaned.len());
     let mut flexible: Vec<usize> = Vec::new();
     for (idx, &v) in cleaned.iter().enumerate() {
         let mut free_slots = (0..owners.len()).filter(|&s| free(s, v));
@@ -102,25 +123,13 @@ pub(crate) fn attempt(
         assignment[idx] = s;
         demand[s] += 1;
     }
-
-    commit(
-        view,
-        proc,
-        prep,
-        &assignment,
-        |cost, dirty_used| match mode {
-            PushMode::Strict => cost == 0 || dirty_used + cost <= 1,
-            PushMode::Budgeted | PushMode::Relaxed => true,
-        },
-        !matches!(mode, PushMode::Relaxed),
-        voc_before,
-    )
+    Some(assignment)
 }
 
 /// Attempt a push of `proc` in `dir`, trying modes strictest-first.
 /// Commits the first legal one; otherwise leaves the partition untouched.
 pub fn try_push_n(part: &mut NPartition, proc: u8, dir: Direction) -> Option<NAppliedPush> {
-    try_ladder(part, proc, dir, &PushMode::ALL)
+    try_ladder(part, proc, dir, &PushMode::RUNGS)
 }
 
 /// Attempt a push under one specific mode.
@@ -130,30 +139,23 @@ pub fn try_push_mode(
     dir: Direction,
     mode: PushMode,
 ) -> Option<NAppliedPush> {
-    try_ladder(part, proc, dir, &[mode])
+    try_ladder(part, proc, dir, &[mode.rung()])
 }
 
-/// Commit the first of `ladder`'s modes under which the push is legal.
-/// Phase 1 is mode-independent (and failed attempts roll back exactly),
-/// so it is computed once and shared across the ladder.
+/// Commit the first of `rungs` under which the push is legal.
 fn try_ladder(
     part: &mut NPartition,
     proc: u8,
     dir: Direction,
-    ladder: &[PushMode],
+    rungs: &[Rung],
 ) -> Option<NAppliedPush> {
-    let (k, voc_before) = (part.k(), part.voc_units() as i64);
-    let mut view = View::new(part, dir);
-    let prep = prepare(&view, proc, k)?;
-    ladder.iter().find_map(|&mode| {
-        let out = attempt(&mut view, proc, mode, &prep, voc_before)?;
-        Some(NAppliedPush {
-            proc,
-            dir,
-            mode,
-            delta_voc_units: out.delta,
-            swaps: out.journal.len(),
-        })
+    let pushed = climb(part, RuleLayer::Modes, proc, dir, rungs, Finish::Apply)?;
+    Some(NAppliedPush {
+        proc,
+        dir,
+        mode: PushMode::ALL[pushed.rung],
+        delta_voc_units: pushed.delta,
+        swaps: pushed.swaps,
     })
 }
 

@@ -31,7 +31,10 @@
 //! holds: Types 1–4 must strictly decrease VoC, Types 5–6 must not increase
 //! it. This turns the paper's prose guarantee ("a Push which decreases, or at
 //! least does not increase, the volume of communication") into a
-//! machine-checked property.
+//! machine-checked property. (The ladder driver in `ladder` may keep a
+//! failed type's swaps applied while later types that would repeat them
+//! are decided, but rolls them back before any other swap and before it
+//! returns.)
 //!
 //! Note on enclosing rectangles: targets are always inside the *active*
 //! processor's enclosing rectangle, so its rectangle never grows and the
@@ -41,9 +44,10 @@
 //! this matches the paper's Types 3/4/6 which explicitly permit receiver
 //! dirtying within budget.
 
-use crate::targets::{prepare, Candidates, LineGrid};
+use crate::ladder::{climb, ActiveSide, Finish, RuleLayer, Rung};
+use crate::targets::{Candidates, LineGrid};
 use crate::view::View;
-use hetmmm_partition::{NPartition, Partition, Proc};
+use hetmmm_partition::{Partition, Proc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -102,12 +106,12 @@ directions! {
 }
 
 /// Declare the paper's six push types as one table: variant, paper number,
-/// active-side class, displaced-side strictness, and the ΔVoC contract
+/// active-side rule, displaced-side strictness, and the ΔVoC contract
 /// (Section IV-A, the two orthogonal strictness knobs from the module
 /// docs). Generates the enum (discriminants in table order, so `ty as
-/// usize` indexes per-type metric tables), `ALL`, every property accessor
-/// the prepare/attempt kernel dispatches on, and `Display` — the whole
-/// 6-type × 4-direction behavior table has exactly one definition.
+/// usize` indexes per-type metric tables), `ALL`, the number, each type's
+/// ladder [`Rung`] and `Display` — the whole 6-type × 4-direction behavior
+/// table has exactly one definition.
 macro_rules! push_types {
     ($(
         $(#[$doc:meta])*
@@ -128,30 +132,28 @@ macro_rules! push_types {
             pub const ALL: [PushType; push_types!(@count $($variant)+)] =
                 [ $(PushType::$variant),+ ];
 
+            /// The ladder of `try_push_any_type`: one rung per type, in
+            /// [`PushType::ALL`] order.
+            pub(crate) const RUNGS: [Rung; push_types!(@count $($variant)+)] =
+                [ $(PushType::$variant.rung()),+ ];
+
             /// The paper's type number (1–6).
             #[inline]
             pub fn number(self) -> u8 {
                 match self { $(PushType::$variant => $num),+ }
             }
 
-            /// Must the displaced (receiving) processor already occupy the
-            /// cleaned row and the destination column?
-            #[inline]
-            fn displaced_strict(self) -> bool {
-                match self { $(PushType::$variant => push_types!(@displaced $displaced)),+ }
-            }
-
-            /// Active-side admissibility class.
-            #[inline]
-            fn active_side(self) -> ActiveSide {
-                match self { $(PushType::$variant => ActiveSide::$active),+ }
-            }
-
-            /// The ΔVoC contract (in line units): `true` means strict
-            /// decrease required.
-            #[inline]
-            fn requires_strict_decrease(self) -> bool {
-                match self { $(PushType::$variant => push_types!(@voc $voc)),+ }
+            /// This type's rung: its displaced-side class, active-side rule
+            /// and ΔVoC contract.
+            pub(crate) const fn rung(self) -> Rung {
+                match self {
+                    $(PushType::$variant => Rung {
+                        index: PushType::$variant as usize,
+                        displaced_strict: push_types!(@displaced $displaced),
+                        active: ActiveSide::$active,
+                        strict_decrease: push_types!(@voc $voc),
+                    }),+
+                }
             }
         }
 
@@ -184,13 +186,6 @@ push_types! {
     Six => number 6, active OneDirty, displaced relaxed, voc nonincrease;
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ActiveSide {
-    Strict,
-    Budgeted,
-    OneDirty,
-}
-
 /// Record of a successfully applied push.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AppliedPush {
@@ -208,120 +203,20 @@ pub struct AppliedPush {
     pub swaps: usize,
 }
 
-/// One swap of an attempt, `(v, target, owner)`: cleaned cell `(line, v)`
-/// took the target's owner, and the target took the active processor.
-pub(crate) type Swap = (usize, (usize, usize), u8);
-
-/// Outcome of a successful attempt, under either rule layer.
-pub(crate) struct AttemptOutcome {
-    /// Exact ΔVoC in line units.
-    pub(crate) delta: i64,
-    /// The swaps performed, in order; [`undo`] reverts them.
-    pub(crate) journal: Vec<Swap>,
-}
-
-/// Revert the `journal` of an attempt by `proc` that cleaned canonical row
-/// `line`, last swap first, leaving the grid exactly as it was before the
-/// attempt. A failed attempt rolls back through it, and a probe reverts a
-/// legal one.
-#[inline]
-pub(crate) fn undo(view: &mut View, proc: u8, line: usize, journal: &[Swap]) {
-    for &(v, target, owner) in journal.iter().rev() {
-        view.swap_owned((line, v), owner, target, proc);
-    }
-}
-
-/// Phase 3 of a push, shared by both rule layers — pair each cleaned
-/// position with the next target of the owner slot phase 2 assigned it
-/// and swap, then check the ΔVoC contract.
+/// Phase 2 of a three-processor push — which of the two displaced owners
+/// of `prep` fills each vacated position — under the displaced-side class
+/// `displaced_strict`. Returns the owner slot per cleaned position, or
+/// `None` when no assignment exists.
 ///
-/// The active-side rules depend on the evolving grid, so they are checked
-/// when a target is popped: a target whose landing would dirty `cost`
-/// active lines (0, 1 or 2) is skipped unless `admissible(cost,
-/// dirty_used)` holds, where `dirty_used` sums the costs of the swaps so
-/// far. The contract is `ΔVoC < 0` when `strict_decrease`, else
-/// `ΔVoC ≤ 0`. On failure every swap is undone and the grid is left
-/// exactly as it was.
+/// A position (k, v) is "free" for owner Y when writing Y there dirties
+/// nothing: Y already owns elements in row k and in column v (the strict
+/// displaced-side rule of Types 1/2/5). Forced positions (free for
+/// exactly one owner) take that owner; flexible ones are balanced against
+/// target availability; dead positions (free for neither) are only
+/// allowed by the relaxed types, paid for through the final ΔVoC
+/// contract.
 #[inline]
-pub(crate) fn commit(
-    view: &mut View,
-    proc: u8,
-    prep: &Candidates,
-    assignment: &[usize],
-    admissible: impl Fn(usize, usize) -> bool,
-    strict_decrease: bool,
-    voc_before: i64,
-) -> Option<AttemptOutcome> {
-    let k = prep.line;
-    let mut journal: Vec<Swap> = Vec::with_capacity(prep.cleaned.len());
-    let mut dirty_used = 0usize;
-    let mut next_target = vec![0usize; prep.owners.len()];
-    let mut ok = true;
-
-    'elems: for (&v, &slot) in prep.cleaned.iter().zip(assignment) {
-        let owner = prep.owners[slot];
-        loop {
-            let Some(&(g, h)) = prep.owner_targets[slot].get(next_target[slot]) else {
-                ok = false;
-                break 'elems;
-            };
-            next_target[slot] += 1;
-            // A slot's targets are distinct cells of its owner below line
-            // `k`, each popped once; a swap changes only line `k` and the
-            // popped target, and a failed attempt rolls back exactly. So
-            // the target still belongs to its owner.
-            debug_assert_eq!(view.get(g, h), owner, "target ({g}, {h}) changed owner");
-            // Active side: may the cleaned element land at (g, h)?
-            // "already containing elements of X" must not count the
-            // elements sitting in the cleaned line itself, which all leave.
-            let col_has_excl_k = {
-                let mut cnt = view.col_count(proc, h);
-                if view.get(k, h) == proc {
-                    cnt -= 1;
-                }
-                cnt > 0
-            };
-            let cost = usize::from(!view.row_has(proc, g)) + usize::from(!col_has_excl_k);
-            if !admissible(cost, dirty_used) {
-                continue;
-            }
-            view.swap_owned((k, v), proc, (g, h), owner);
-            journal.push((v, (g, h), owner));
-            dirty_used += cost;
-            break;
-        }
-    }
-
-    let delta = view.voc_units() as i64 - voc_before;
-    let contract_ok = if strict_decrease {
-        delta < 0
-    } else {
-        delta <= 0
-    };
-    if !ok || !contract_ok {
-        undo(view, proc, k, &journal);
-        debug_assert_eq!(
-            view.voc_units() as i64,
-            voc_before,
-            "rollback must restore VoC"
-        );
-        return None;
-    }
-    Some(AttemptOutcome { delta, journal })
-}
-
-/// Phase 2 of a push of `ty` — which displaced owner fills each vacated
-/// position — then phase 3 ([`commit`]) under the type's active-side rule
-/// and ΔVoC contract. Three processors only: the two displaced owners of
-/// `prep` are the other two.
-#[inline]
-pub(crate) fn attempt(
-    view: &mut View,
-    proc: u8,
-    ty: PushType,
-    prep: &Candidates,
-    voc_before: i64,
-) -> Option<AttemptOutcome> {
+pub(crate) fn assign(view: &View, prep: &Candidates, displaced_strict: bool) -> Option<Vec<usize>> {
     let k = prep.line;
     let cleaned = &prep.cleaned;
     debug_assert_eq!(
@@ -330,89 +225,51 @@ pub(crate) fn attempt(
         "three processors: two displaced owners"
     );
     let (o1, o2) = (prep.owners[0], prep.owners[1]);
-    let displaced_strict = ty.displaced_strict();
-    let m = cleaned.len();
-
-    // -----------------------------------------------------------------
-    // Phase 2 — decide which owner fills each vacated position.
-    //
-    // A position (k, v) is "free" for owner Y when writing Y there dirties
-    // nothing: Y already owns elements in row k and in column v (the strict
-    // displaced-side rule of Types 1/2/5). Forced positions (free for
-    // exactly one owner) take that owner; flexible ones are balanced
-    // against target availability; dead positions (free for neither) are
-    // only allowed by the relaxed types, paid for through the final ΔVoC
-    // contract.
-    // -----------------------------------------------------------------
     let row_k_has = [view.row_has(o1, k), view.row_has(o2, k)];
     let free_for = |slot: usize, v: usize| -> bool {
         let owner = if slot == 0 { o1 } else { o2 };
         row_k_has[slot] && view.col_has(owner, v)
     };
-    let mut assignment: Vec<usize> = Vec::with_capacity(m); // owner slot per cleaned position
-    {
-        let mut demand = [0usize; 2];
-        let avail = [prep.owner_targets[0].len(), prep.owner_targets[1].len()];
-        let mut flexible: Vec<usize> = Vec::new();
-        for (idx, &v) in cleaned.iter().enumerate() {
-            let f = [free_for(0, v), free_for(1, v)];
-            match (f[0], f[1]) {
-                (true, false) => {
-                    assignment.push(0);
-                    demand[0] += 1;
-                }
-                (false, true) => {
-                    assignment.push(1);
-                    demand[1] += 1;
-                }
-                _ => {
-                    if displaced_strict && !f[0] && !f[1] {
-                        return None; // dead position under a strict type
-                    }
-                    assignment.push(usize::MAX);
-                    flexible.push(idx);
-                }
+    let mut assignment: Vec<usize> = Vec::with_capacity(cleaned.len());
+    let mut demand = [0usize; 2];
+    let avail = [prep.owner_targets[0].len(), prep.owner_targets[1].len()];
+    let mut flexible: Vec<usize> = Vec::new();
+    for (idx, &v) in cleaned.iter().enumerate() {
+        let f = [free_for(0, v), free_for(1, v)];
+        match (f[0], f[1]) {
+            (true, false) => {
+                assignment.push(0);
+                demand[0] += 1;
             }
-        }
-        if demand[0] > avail[0] || demand[1] > avail[1] {
-            return None; // not enough targets of a forced owner
-        }
-        // Hand flexible positions to whichever owner has spare targets,
-        // preferring the owner that is free at that position.
-        for idx in flexible {
-            let v = cleaned[idx];
-            let prefer = usize::from(!free_for(0, v)); // 0 unless only o2 free
-            let order = [prefer, 1 - prefer];
-            let mut placed = false;
-            for slot in order {
-                if demand[slot] < avail[slot] {
-                    assignment[idx] = slot;
-                    demand[slot] += 1;
-                    placed = true;
-                    break;
-                }
+            (false, true) => {
+                assignment.push(1);
+                demand[1] += 1;
             }
-            if !placed {
-                return None; // fewer interior targets than cleaned elements
+            _ => {
+                if displaced_strict && !f[0] && !f[1] {
+                    return None; // dead position under a strict type
+                }
+                assignment.push(usize::MAX);
+                flexible.push(idx);
             }
         }
     }
-
-    let _clean_span = hetmmm_obs::fine_span_arg("push.clean", m as u64);
-    let active_side = ty.active_side();
-    commit(
-        view,
-        proc,
-        prep,
-        &assignment,
-        |cost, dirty_used| match active_side {
-            ActiveSide::Strict => cost < 2,
-            ActiveSide::OneDirty => dirty_used + cost <= 1,
-            ActiveSide::Budgeted => true,
-        },
-        ty.requires_strict_decrease(),
-        voc_before,
-    )
+    if demand[0] > avail[0] || demand[1] > avail[1] {
+        return None; // not enough targets of a forced owner
+    }
+    // Hand flexible positions to whichever owner has spare targets,
+    // preferring the owner that is free at that position.
+    for idx in flexible {
+        let v = cleaned[idx];
+        let prefer = usize::from(!free_for(0, v)); // 0 unless only o2 free
+                                                   // Fewer interior targets than cleaned elements: no assignment.
+        let slot = [prefer, 1 - prefer]
+            .into_iter()
+            .find(|&slot| demand[slot] < avail[slot])?;
+        assignment[idx] = slot;
+        demand[slot] += 1;
+    }
+    Some(assignment)
 }
 
 /// Try to apply a push of the given type. On success the partition is
@@ -424,7 +281,7 @@ pub fn try_push(
     dir: Direction,
     ty: PushType,
 ) -> Option<AppliedPush> {
-    try_ladder(part.grid_mut(), proc.q(), dir, &[ty])
+    try_ladder(part, proc, dir, &[ty.rung()])
 }
 
 /// Try each push type in order (1 → 6) and apply the first that is legal.
@@ -446,33 +303,24 @@ pub fn try_push(
 /// assert!(part.voc() < voc_before);
 /// ```
 pub fn try_push_any_type(part: &mut Partition, proc: Proc, dir: Direction) -> Option<AppliedPush> {
-    try_ladder(part.grid_mut(), proc.q(), dir, &PushType::ALL)
+    try_ladder(part, proc, dir, &PushType::RUNGS)
 }
 
-/// Apply the first of `ladder`'s types under which a push of owner `proc`
-/// is legal, on a three-owner plane store (the DFA walk calls it
-/// directly).
-pub(crate) fn try_ladder(
-    grid: &mut NPartition,
-    proc: u8,
+/// Apply the first of `rungs` under which a push of `proc` is legal.
+fn try_ladder(
+    part: &mut Partition,
+    proc: Proc,
     dir: Direction,
-    ladder: &[PushType],
+    rungs: &[Rung],
 ) -> Option<AppliedPush> {
-    let (k, voc_before) = (grid.k(), grid.voc_units() as i64);
-    let mut view = View::new(grid, dir);
-    // Phase 1 is type-independent (and failed attempts roll back exactly),
-    // so compute it once instead of once per type.
-    let prep = prepare(&view, proc, k)?;
-    ladder.iter().find_map(|&ty| {
-        let _span = hetmmm_obs::fine_span_arg("push.apply", ty as u64 + 1);
-        let out = attempt(&mut view, proc, ty, &prep, voc_before)?;
-        Some(AppliedPush {
-            proc: Proc::from_q(proc),
-            dir,
-            ty,
-            delta_voc_units: out.delta,
-            swaps: out.journal.len(),
-        })
+    let grid = part.grid_mut();
+    let pushed = climb(grid, RuleLayer::Types, proc.q(), dir, rungs, Finish::Apply)?;
+    Some(AppliedPush {
+        proc,
+        dir,
+        ty: PushType::ALL[pushed.rung],
+        delta_voc_units: pushed.delta,
+        swaps: pushed.swaps,
     })
 }
 

@@ -8,83 +8,19 @@
 //!
 //! ## How it stays exact
 //!
-//! The probe runs the *same* push kernel that applies real pushes — phase
-//! 1, then the rule layer's attempts in ladder order — on the grid itself.
-//! A failed attempt rolls back as it does under a real push, and the first
-//! legal one is reverted through the same swap journal, so the grid is
-//! left exactly as it was found, state hash and nonzero-word summaries
-//! included. One kernel decides both, so there is no second legality
+//! The probe climbs the *same* ladder that applies real pushes — phase 1,
+//! then the rule layer's rungs in order — on the grid itself, and ends by
+//! rolling back whatever journal the grid holds, a legal push's included.
+//! So the grid is left exactly as it was found, state hash and
+//! nonzero-word summaries included. One kernel decides both, so there is no second legality
 //! implementation that could drift from the real one, and a probe costs
 //! what a push attempt costs, plus the revert of a legal one. The old
 //! clone-based probe cloned the full O(N²) grid *per question*; see
 //! `DESIGN.md` §11 for the measured effect.
 
-use crate::modes::{self, PushMode};
-use crate::op::{self, Direction, PushType};
-use crate::targets::prepare;
-use crate::view::View;
-use hetmmm_obs as obs;
+use crate::ladder::RuleLayer;
+use crate::op::Direction;
 use hetmmm_partition::{NPartition, Partition, Proc};
-
-/// The rule layer that decides a push, for probes and for the DFA walk.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum RuleLayer {
-    /// The paper's six push types on three processors, tried One to Six
-    /// ([`crate::try_push_any_type`]).
-    Types,
-    /// The k-processor modes, tried Strict to Relaxed
-    /// ([`crate::try_push_n`]).
-    Modes,
-}
-
-impl RuleLayer {
-    /// Apply the first rung of the ladder under which a push of `proc` in
-    /// `dir` is legal. Returns the rung (the push type or mode, counted
-    /// from 0 in ladder order) and the exact ΔVoC in line units.
-    pub(crate) fn apply(
-        self,
-        part: &mut NPartition,
-        proc: u8,
-        dir: Direction,
-    ) -> Option<(usize, i64)> {
-        match self {
-            RuleLayer::Types => op::try_ladder(part, proc, dir, &PushType::ALL)
-                .map(|applied| (applied.ty as usize, applied.delta_voc_units)),
-            RuleLayer::Modes => modes::try_push_n(part, proc, dir)
-                .map(|applied| (applied.mode as usize, applied.delta_voc_units)),
-        }
-    }
-
-    /// Would a push of `proc` in `dir` be legal under any rung of the
-    /// ladder? Decided on `part` itself: every failed rung rolls back, so
-    /// the rungs see the same grid, and the first legal one is undone.
-    fn feasible(self, part: &mut NPartition, proc: u8, dir: Direction) -> bool {
-        let _span = obs::fine_span("push.probe");
-        if obs::metrics_enabled() {
-            obs::metrics()
-                .counter(obs::metrics::names::PUSH_PROBES)
-                .inc();
-        }
-        let (k, voc_before) = (part.k(), part.voc_units() as i64);
-        let mut view = View::new(part, dir);
-        let Some(prep) = prepare(&view, proc, k) else {
-            return false;
-        };
-        let applied = match self {
-            RuleLayer::Types => PushType::ALL
-                .iter()
-                .find_map(|&ty| op::attempt(&mut view, proc, ty, &prep, voc_before)),
-            RuleLayer::Modes => PushMode::ALL
-                .iter()
-                .find_map(|&mode| modes::attempt(&mut view, proc, mode, &prep, voc_before)),
-        };
-        let Some(out) = applied else {
-            return false;
-        };
-        op::undo(&mut view, proc, prep.line, &out.journal);
-        true
-    }
-}
 
 /// Would *any* type of push of `proc` in `dir` be legal? Decided by the
 /// same kernel as [`crate::try_push_any_type`], on `part` itself: a legal
@@ -109,7 +45,7 @@ pub fn push_feasible(part: &mut Partition, proc: Proc, dir: Direction) -> bool {
     RuleLayer::Types.feasible(part.grid_mut(), proc.q(), dir)
 }
 
-/// Would a push of `proc` in `dir` be legal under any [`PushMode`]?
+/// Would a push of `proc` in `dir` be legal under any [`PushMode`](crate::PushMode)?
 /// Decided by the same kernel as [`crate::try_push_n`], on `part` itself,
 /// which is left exactly as it was found — no clone of the `O(N²)` grid.
 pub fn push_feasible_n(part: &mut NPartition, proc: u8, dir: Direction) -> bool {

@@ -10,7 +10,8 @@
 //! - per-processor region analysis — contiguity, exact / asymptotic
 //!   rectangularity (Fig. 3), band profiles ([`region`]),
 //! - the four archetype classes A–D of Section VII and the classifier
-//!   mapping any condensed partition onto them ([`archetype`]),
+//!   mapping any condensed partition onto them ([`archetype`]); its corner
+//!   counts, row intervals and block majorities all read plane words,
 //! - the archetype reductions B→A, C→A, D→A of Theorems 8.2–8.4
 //!   ([`transform`]),
 //! - the six candidate canonical shapes of Section IX with their

@@ -61,11 +61,25 @@ pub struct RegionProfile {
 }
 
 impl RegionProfile {
-    /// Profile the region of `proc` within `part`.
+    /// Profile the region of `proc` within `part`: corners by the
+    /// word-wise window scan, row intervals from the first and last set
+    /// bits of each row's plane words.
     pub fn new(part: &Partition, proc: Proc) -> RegionProfile {
+        let span = |i: usize, rect: Rect| row_span(part, proc, i, rect);
+        RegionProfile::with_scans(part, proc, corner_count(part, proc), span)
+    }
+
+    /// The profile from `corners` and a row scan `span(i, rect)` giving
+    /// the first and last column of `proc` in row `i` of its enclosing
+    /// rectangle.
+    fn with_scans(
+        part: &Partition,
+        proc: Proc,
+        corners: usize,
+        span: impl Fn(usize, Rect) -> Option<(usize, usize)>,
+    ) -> RegionProfile {
         let elems = part.elems(proc);
         let rect = part.enclosing_rect(proc);
-        let corners = corner_count(part, proc);
         let Some(rect) = rect else {
             return RegionProfile {
                 proc,
@@ -83,24 +97,7 @@ impl RegionProfile {
         let mut intervals: Vec<Option<(usize, usize)>> = Vec::with_capacity(rect.height());
         for i in rect.top..=rect.bottom {
             let count = part.row_count(proc, i) as usize;
-            if count == 0 {
-                row_contiguous = false;
-                intervals.push(None);
-                continue;
-            }
-            let mut first = None;
-            let mut last = 0usize;
-            for j in rect.left..=rect.right {
-                if part.get(i, j) == proc {
-                    if first.is_none() {
-                        first = Some(j);
-                    }
-                    last = j;
-                }
-            }
-            // `row_count > 0` guarantees a cell, but stay total: a rowless
-            // scan degrades to non-contiguous instead of panicking.
-            let Some(first) = first else {
+            let Some((first, last)) = span(i, rect) else {
                 row_contiguous = false;
                 intervals.push(None);
                 continue;
@@ -148,6 +145,19 @@ impl RegionProfile {
         }
     }
 
+    /// [`RegionProfile::new`] from the per-cell scans the word-wise ones
+    /// replaced. The test oracle.
+    #[cfg(test)]
+    pub(crate) fn per_cell(part: &Partition, proc: Proc) -> RegionProfile {
+        let corners = crate::corners::tests::corner_count_per_cell(part.grid(), proc.q());
+        let span = |i: usize, rect: Rect| {
+            let mut cols = (rect.left..=rect.right).filter(|&j| part.get(i, j) == proc);
+            let first = cols.next()?;
+            Some((first, cols.last().unwrap_or(first)))
+        };
+        RegionProfile::with_scans(part, proc, corners, span)
+    }
+
     fn kind_of(
         part: &Partition,
         proc: Proc,
@@ -177,6 +187,21 @@ impl RegionProfile {
     pub fn is_rect_like(&self) -> bool {
         matches!(self.kind, RegionKind::ExactRect | RegionKind::AsymptRect)
     }
+}
+
+/// First and last column of `proc` in row `i`, all of whose cells lie in
+/// `rect`: the lowest and highest set bits of the row's plane words over
+/// the rectangle's columns. `None` for a row without a cell of `proc`.
+fn row_span(part: &Partition, proc: Proc, i: usize, rect: Rect) -> Option<(usize, usize)> {
+    let words = rect.left / 64..=rect.right / 64;
+    let word = |w: usize| part.row_plane_word(proc, i, w);
+    let first = words
+        .clone()
+        .find_map(|w| (word(w) != 0).then(|| w * 64 + word(w).trailing_zeros() as usize))?;
+    let last = words
+        .rev()
+        .find_map(|w| (word(w) != 0).then(|| w * 64 + 63 - word(w).leading_zeros() as usize))?;
+    Some((first, last))
 }
 
 /// Are all cells of `rect` *not* owned by `proc` confined to a single edge

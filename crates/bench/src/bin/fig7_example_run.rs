@@ -11,8 +11,10 @@
 //! ```
 //!
 //! ASCII snapshots go to stdout; PGM images land in `results/`. At the
-//! default size both are EXPERIMENTS.md's E2 block and the committed
-//! `results/fig7_step_*.pgm`, regenerated by `scripts/experiments.sh`.
+//! default size and seed both are EXPERIMENTS.md's E2 block and the
+//! committed `results/fig7_step_*.pgm`, regenerated by
+//! `scripts/experiments.sh`; any other run writes its images to
+//! `results/fig7_n<N>_seed<S>/`, so it never overwrites the committed set.
 
 use hetmmm::partition::{render_ascii, render_pgm};
 use hetmmm::prelude::*;
@@ -20,11 +22,15 @@ use hetmmm_bench::{results_dir, Args, BinSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The run whose images are committed as `results/fig7_step_*.pgm`.
+const DEFAULT_N: usize = 300;
+const DEFAULT_SEED: u64 = 1;
+
 fn main() {
     let args = Args::parse();
     let _session = BinSession::start("fig7_example_run", &args);
-    let n = args.get("n", 300usize);
-    let seed = args.get("seed", 1u64);
+    let n = args.get("n", DEFAULT_N);
+    let seed = args.get("seed", DEFAULT_SEED);
     let ratio = Ratio::new(2, 1, 1);
 
     // The paper's snapshots at N=1000 were at ~1/500/1000/1500/2100 steps;
@@ -50,7 +56,13 @@ fn main() {
     let voc0 = start.voc();
     let out = runner.run_with(start, plan, &mut rng);
 
-    let dir = results_dir();
+    let dir = if (n, seed) == (DEFAULT_N, DEFAULT_SEED) {
+        results_dir()
+    } else {
+        let dir = results_dir().join(format!("fig7_n{n}_seed{seed}"));
+        std::fs::create_dir_all(&dir).expect("create the run's image directory");
+        dir
+    };
     let mut shots: Vec<(usize, &Partition)> = out.snapshots.iter().map(|(s, p)| (*s, p)).collect();
     shots.push((out.steps, &out.partition));
 

@@ -18,6 +18,15 @@
 //! the executor's [`parallel::ExecStats`]). The result is verified against
 //! the serial reference in tests for arbitrary partitions.
 //!
+//! Each worker's per-step C update is one kernel call. The kernel keeps
+//! the worker's accumulators row-major and picks a layout per worker from
+//! the mean length of its row runs (stretches of consecutive owned columns
+//! in one row): a slice update the compiler vectorises for long runs, such
+//! as the rectangles of every §IX candidate, and a row-grouped gather for
+//! short ones, such as a random start state. Every cell still adds one
+//! product per step in ascending `k`, so C is bit-identical to the
+//! per-cell update either way.
+//!
 //! The executor is fault-tolerant: worker failures (scripted through
 //! [`fault::FaultPlan`] or real) are detected via channel disconnects and
 //! receive timeouts, then run through a layered recovery engine — receive
@@ -31,6 +40,7 @@
 //! DESIGN.md's "Failure model".
 
 pub mod fault;
+mod kernel;
 pub mod matrix;
 pub mod parallel;
 mod supervise;

@@ -8,7 +8,10 @@
 //! receives `A[i,k]`). The communication statistics the executor gathers
 //! are exactly the quantities the analytic models charge for, so the
 //! integration tests can check executor-counted traffic against
-//! `pairwise_volumes` for any partition.
+//! `pairwise_volumes` for any partition. Once a step's fragments are in,
+//! the worker updates its C cells with one call to its kernel
+//! (`crate::kernel`), built per attempt from the partition and the
+//! checkpointed cell state.
 //!
 //! ## Failure model
 //!
@@ -44,8 +47,9 @@
 //! testing; recovery activity is reported in [`RecoveryStats`].
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::kernel::Kernel;
 use crate::matrix::Matrix;
-use crate::supervise::{BackoffPolicy, CellState, Checkpoint, ProcSnapshot};
+use crate::supervise::{BackoffPolicy, CellState, Checkpoint};
 use hetmmm_error::HetmmmError;
 use hetmmm_obs::{self as obs, Clock};
 use hetmmm_partition::{Partition, Proc};
@@ -333,7 +337,7 @@ type StepMessage = (usize, Vec<(u32, f64)>, Vec<(u32, f64)>);
 /// report, and the supervisor decides.
 enum Verdict {
     /// Finished all `n` steps; carries the owned C cells and counters.
-    Completed(Vec<(u32, u32, f64)>, ProcExec),
+    Completed(Kernel, ProcExec),
     /// An injected [`FaultKind::CrashAt`] fired at `step`. Work since the
     /// last banked checkpoint is lost with the worker.
     Crashed { step: usize },
@@ -430,13 +434,9 @@ struct Worker {
     a_frags: Vec<Vec<(u32, f64)>>,
     /// `b_frags[k]`: owned `(j, B[k,j])` pairs.
     b_frags: Vec<Vec<(u32, f64)>>,
-    /// Owned C cells.
-    c_cells: Vec<(u32, u32)>,
-    /// Initial accumulator per owned cell (checkpointed partials).
-    acc0: Vec<f64>,
-    /// First pivot step each owned cell still needs; steps below it are
-    /// already folded into `acc0` and must not be re-applied.
-    next0: Vec<u32>,
+    /// Owned C cells: accumulators seeded from the checkpointed partials,
+    /// each applying only the steps its cell still needs.
+    kernel: Kernel,
     /// `row_needed[Y][i]`: does processor `Y` own C elements in row `i`?
     row_needed: [Vec<bool>; 3],
     /// `col_needed[Y][j]`.
@@ -481,43 +481,29 @@ impl Worker {
     /// Bank the current accumulators with the supervisor: every owned
     /// cell, tagged with the step it is valid through (its own resume
     /// point if that is further along than this attempt's progress).
-    fn bank(&self, acc: &[f64], through: usize) {
+    fn bank(&self, through: usize) {
         let Some(cp) = &self.checkpoint else {
             return;
         };
         let seg = obs::enabled();
         let bank_start = if seg { self.clock.now_nanos() } else { 0 };
         let through = through as u32;
-        let cells = self
-            .c_cells
-            .iter()
-            .zip(acc)
-            .zip(&self.next0)
-            .map(|((&(i, j), &v), &nk)| (i, j, v, nk.max(through)))
-            .collect();
-        cp.bank(self.proc.idx(), ProcSnapshot { cells });
+        cp.bank(self.proc.idx(), self.kernel.snapshot(through));
         if seg {
             let bank_end = self.clock.now_nanos();
             self.segment("checkpoint", "", through as usize, bank_start, bank_end);
             obs::emit(obs::EventKind::ExecCheckpoint {
                 worker: self.proc.to_string(),
                 through: through as u64,
-                cells: self.c_cells.len() as u64,
+                cells: self.kernel.len() as u64,
             });
         }
     }
 
     /// Bank progress and report a lost peer through the facade before
     /// returning the verdict.
-    fn peer_lost(
-        &self,
-        acc: &[f64],
-        stats: ProcExec,
-        peer: Proc,
-        step: usize,
-        loss: Loss,
-    ) -> Verdict {
-        self.bank(acc, step);
+    fn peer_lost(&self, stats: ProcExec, peer: Proc, step: usize, loss: Loss) -> Verdict {
+        self.bank(step);
         if obs::enabled() {
             obs::emit(obs::EventKind::ExecPeerLost {
                 worker: self.proc.to_string(),
@@ -535,9 +521,6 @@ impl Worker {
         let mut stats = ProcExec::default();
         let mut a_col = vec![0.0f64; n];
         let mut b_row = vec![0.0f64; n];
-        // C accumulators, one per owned cell (same order as c_cells),
-        // seeded from the supervisor's checkpointed partials.
-        let mut acc = std::mem::take(&mut self.acc0);
 
         for k in self.start..n {
             // Injected faults scripted for this step.
@@ -566,7 +549,7 @@ impl Worker {
                         // Park past every peer's receive budget, then
                         // return without accusing anyone: persistent
                         // silence that only peer testimony can convict.
-                        self.bank(&acc, k);
+                        self.bank(k);
                         std::thread::sleep(self.park);
                         return Verdict::Stalled { stats };
                     }
@@ -620,7 +603,7 @@ impl Worker {
                                 }
                             }
                         }
-                        Err(loss) => return self.peer_lost(&acc, stats, *peer, k, loss),
+                        Err(loss) => return self.peer_lost(stats, *peer, k, loss),
                     }
                 }
             }
@@ -645,7 +628,7 @@ impl Worker {
                         Ok(msg) => break msg,
                         Err(RecvTimeoutError::Timeout) => {
                             if rewaits >= self.retry.attempts {
-                                return self.peer_lost(&acc, stats, *peer, k, Loss::RecvTimedOut);
+                                return self.peer_lost(stats, *peer, k, Loss::RecvTimedOut);
                             }
                             window = self.retry.delay(rewaits);
                             rewaits += 1;
@@ -661,12 +644,12 @@ impl Worker {
                             }
                         }
                         Err(RecvTimeoutError::Disconnected) => {
-                            return self.peer_lost(&acc, stats, *peer, k, Loss::Disconnected)
+                            return self.peer_lost(stats, *peer, k, Loss::Disconnected)
                         }
                     }
                 };
                 if msg_step != k {
-                    return self.peer_lost(&acc, stats, *peer, k, Loss::OutOfStep);
+                    return self.peer_lost(stats, *peer, k, Loss::OutOfStep);
                 }
                 let received = (a_part.len() + b_part.len()) as u64;
                 stats.elems_recv += received;
@@ -705,15 +688,7 @@ impl Worker {
             // Update every owned C element that still needs this step
             // (checkpointed cells skip steps already folded in).
             let compute_start = if seg { self.clock.now_nanos() } else { 0 };
-            let mut applied = 0u64;
-            for ((cell, accum), &nk) in self.c_cells.iter().zip(acc.iter_mut()).zip(&self.next0) {
-                if k as u32 >= nk {
-                    let (i, j) = (cell.0 as usize, cell.1 as usize);
-                    *accum += a_col[i] * b_row[j];
-                    applied += 1;
-                }
-            }
-            stats.updates += applied;
+            stats.updates += self.kernel.step(k, &a_col, &b_row);
             if seg {
                 let compute_end = self.clock.now_nanos();
                 self.segment("compute", "", k, compute_start, compute_end);
@@ -725,22 +700,15 @@ impl Worker {
                 && k + 1 < n
                 && (k + 1 - self.start) % self.checkpoint_every == 0
             {
-                self.bank(&acc, k + 1);
+                self.bank(k + 1);
             }
         }
-
-        let result = self
-            .c_cells
-            .drain(..)
-            .zip(acc)
-            .map(|((i, j), v)| (i, j, v))
-            .collect();
-        Verdict::Completed(result, stats)
+        Verdict::Completed(self.kernel, stats)
     }
 }
 
-/// One worker's completed contribution: its processor, C updates, stats.
-type WorkerDone = (Proc, Vec<(u32, u32, f64)>, ProcExec);
+/// One worker's completed contribution: its processor, C cells, stats.
+type WorkerDone = (Proc, Kernel, ProcExec);
 
 /// What one attempt (one spawn of the active workers) produced.
 enum Attempt {
@@ -807,15 +775,12 @@ fn run_attempt(
     for &x in active {
         let mut a_frags = vec![Vec::new(); n];
         let mut b_frags = vec![Vec::new(); n];
-        let mut c_cells = Vec::with_capacity(part.elems(x));
         for (i, j) in part.cells_of(x) {
             // A element (i, j) belongs to column-fragment j; B element
             // (i, j) belongs to row-fragment i.
             a_frags[j].push((i as u32, a.get(i, j)));
             b_frags[i].push((j as u32, b.get(i, j)));
-            c_cells.push((i as u32, j as u32));
         }
-        let (acc0, next0) = ctx.state.initial_for(&c_cells);
         let out: Vec<(Proc, SyncSender<StepMessage>)> = x
             .others()
             .into_iter()
@@ -837,9 +802,7 @@ fn run_attempt(
             start: ctx.start,
             a_frags,
             b_frags,
-            c_cells,
-            acc0,
-            next0,
+            kernel: Kernel::new(part, x, ctx.state),
             row_needed: row_needed.clone(),
             col_needed: col_needed.clone(),
             out,
@@ -1028,15 +991,9 @@ struct Supervisor {
 impl Supervisor {
     /// Fold one attempt's completed workers and banked checkpoints in.
     fn absorb_attempt(&mut self, done: Vec<WorkerDone>, partial: Vec<(Proc, ProcExec)>, n: usize) {
-        for (proc, cells, stats) in done {
+        for (proc, kernel, stats) in done {
             self.fold_stats(proc, &stats);
-            let snapshot = ProcSnapshot {
-                cells: cells
-                    .into_iter()
-                    .map(|(i, j, v)| (i, j, v, n as u32))
-                    .collect(),
-            };
-            self.state.absorb(&snapshot);
+            self.state.absorb(&kernel.snapshot(n as u32));
         }
         for (proc, stats) in partial {
             self.fold_stats(proc, &stats);

@@ -109,7 +109,8 @@ impl CellState {
     }
 
     /// Initial `(accumulator, next step)` pairs for the given cells, in
-    /// order — what a worker starts a (re-)attempt from.
+    /// order — what the per-cell reference update starts from.
+    #[cfg(test)]
     pub(crate) fn initial_for(&self, cells: &[(u32, u32)]) -> (Vec<f64>, Vec<u32>) {
         let mut acc = Vec::with_capacity(cells.len());
         let mut next = Vec::with_capacity(cells.len());

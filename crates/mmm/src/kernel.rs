@@ -23,9 +23,15 @@
 //! adds one product per step in ascending `k`, exactly as a per-cell loop
 //! does (no fused multiply-add), so C and the update counts are
 //! bit-identical whichever layout runs.
+//!
+//! The layout is fixed for an attempt and shared behind an `Arc`, so a
+//! [`Bank`] of the kernel's progress is the accumulators alone, 8 bytes a
+//! cell, copied into a buffer that later banks of the attempt reuse; the
+//! supervisor reads the cells back through the shared layout.
 
-use crate::supervise::{CellState, ProcSnapshot};
+use crate::supervise::CellState;
 use hetmmm_partition::{Partition, Proc};
+use std::sync::Arc;
 
 /// Mean row-run length, in cells, from which an owner's update runs over
 /// slices instead of the row gather. DESIGN.md §3.6 gives the crossover
@@ -37,7 +43,7 @@ pub(crate) const SLICE_MIN_MEAN_RUN: usize = 8;
 #[derive(Clone, Copy, Debug)]
 struct Span {
     row: u32,
-    /// The first cell's column. Under [`Layout::Slices`] the span covers
+    /// The first cell's column. Under [`Walk::Slices`] the span covers
     /// columns `col..col + len`.
     col: u32,
     len: u32,
@@ -45,8 +51,9 @@ struct Span {
     first: u32,
 }
 
+/// How a step reaches the B elements of a span's cells.
 #[derive(Clone, Debug, PartialEq)]
-enum Layout {
+enum Walk {
     /// Every span is a row run.
     Slices,
     /// Every span is a row's cells up to a change of first step; entry `c`
@@ -54,29 +61,53 @@ enum Layout {
     Rows(Vec<u32>),
 }
 
+/// Which C cell each accumulator of one owner's kernel holds, and the
+/// spans its per-step update walks. Fixed for an attempt.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    spans: Vec<Span>,
+    walk: Walk,
+}
+
 /// One owner's C accumulators, row-major in [`Partition::cells_of`] order,
-/// and the spans its per-step update walks.
-#[derive(Clone, Debug)]
+/// and the layout its per-step update walks.
+#[derive(Debug)]
 pub(crate) struct Kernel {
     acc: Vec<f64>,
-    spans: Vec<Span>,
-    layout: Layout,
+    layout: Arc<Layout>,
+}
+
+/// A worker's banked progress: a copy of its kernel's accumulators and
+/// the layout that places them. A span's cells are valid through its own
+/// first step or `through`, whichever is further along.
+#[derive(Debug)]
+pub(crate) struct Bank {
+    layout: Arc<Layout>,
+    values: Vec<f64>,
+    through: u32,
 }
 
 impl Kernel {
     /// `owner`'s cells of `part`, starting from the partials and first
     /// steps in `state`, in the layout their mean row run calls for.
     pub(crate) fn new(part: &Partition, owner: Proc, state: &CellState) -> Kernel {
-        let kernel = Kernel::runs(part, owner, state);
-        if kernel.acc.len() < SLICE_MIN_MEAN_RUN * kernel.spans.len() {
-            kernel.into_rows()
+        let (acc, runs) = Kernel::runs(part, owner, state);
+        let layout = if acc.len() < SLICE_MIN_MEAN_RUN * runs.len() {
+            Layout::rows(runs, acc.len())
         } else {
-            kernel
+            Layout {
+                spans: runs,
+                walk: Walk::Slices,
+            }
+        };
+        Kernel {
+            acc,
+            layout: Arc::new(layout),
         }
     }
 
-    /// The slice layout: one span per row run.
-    fn runs(part: &Partition, owner: Proc, state: &CellState) -> Kernel {
+    /// The accumulators and the slice layout's spans: one per row run.
+    fn runs(part: &Partition, owner: Proc, state: &CellState) -> (Vec<f64>, Vec<Span>) {
         let n = part.n();
         let mut acc = Vec::with_capacity(part.elems(owner));
         let mut spans: Vec<Span> = Vec::new();
@@ -94,30 +125,7 @@ impl Kernel {
                 }),
             }
         }
-        Kernel {
-            acc,
-            spans,
-            layout: Layout::Slices,
-        }
-    }
-
-    /// The row layout of the same cells: runs of one row with one first
-    /// step merge into one span, and every cell keeps its column.
-    fn into_rows(self) -> Kernel {
-        let mut cols = Vec::with_capacity(self.acc.len());
-        let mut spans: Vec<Span> = Vec::new();
-        for run in self.spans {
-            cols.extend(run.col..run.col + run.len);
-            match spans.last_mut() {
-                Some(s) if s.row == run.row && s.first == run.first => s.len += run.len,
-                _ => spans.push(run),
-            }
-        }
-        Kernel {
-            acc: self.acc,
-            spans,
-            layout: Layout::Rows(cols),
-        }
+        (acc, spans)
     }
 
     /// Owned cells.
@@ -132,9 +140,10 @@ impl Kernel {
         let k = k as u32;
         let mut off = 0;
         let mut applied = 0u64;
-        match &self.layout {
-            Layout::Slices => {
-                for s in &self.spans {
+        let Layout { spans, walk } = &*self.layout;
+        match walk {
+            Walk::Slices => {
+                for s in spans {
                     let (end, j0) = (off + s.len as usize, s.col as usize);
                     if k >= s.first {
                         let a = a_col[s.row as usize];
@@ -148,8 +157,8 @@ impl Kernel {
                     off = end;
                 }
             }
-            Layout::Rows(cols) => {
-                for s in &self.spans {
+            Walk::Rows(cols) => {
+                for s in spans {
                     let end = off + s.len as usize;
                     if k >= s.first {
                         let a = a_col[s.row as usize];
@@ -165,27 +174,93 @@ impl Kernel {
         applied
     }
 
-    /// The checkpoint of every owned cell, in accumulator order: a cell's
-    /// partial is valid through `through` steps, or through its own first
-    /// step if that is further along.
-    pub(crate) fn snapshot(&self, through: u32) -> ProcSnapshot {
-        let mut cells = Vec::with_capacity(self.acc.len());
+    /// Bank the accumulators into `slot`, valid through `through` steps.
+    /// A bank of this kernel already in the slot keeps its buffer and
+    /// takes a copy of the values; anything else is replaced by a new bank.
+    pub(crate) fn bank_into(&self, slot: &mut Option<Bank>, through: u32) {
+        match slot {
+            Some(bank) if Arc::ptr_eq(&bank.layout, &self.layout) => {
+                bank.values.copy_from_slice(&self.acc);
+                bank.through = through;
+            }
+            _ => {
+                *slot = Some(Bank {
+                    layout: Arc::clone(&self.layout),
+                    values: self.acc.clone(),
+                    through,
+                })
+            }
+        }
+    }
+
+    /// The accumulators as a bank valid through `through` steps, without
+    /// copying them.
+    pub(crate) fn into_bank(self, through: u32) -> Bank {
+        Bank {
+            layout: self.layout,
+            values: self.acc,
+            through,
+        }
+    }
+}
+
+impl Layout {
+    /// The row layout of the slice layout's `runs` over `cells` cells: runs
+    /// of one row with one first step merge into one span, and every cell
+    /// keeps its column.
+    fn rows(runs: Vec<Span>, cells: usize) -> Layout {
+        let mut cols = Vec::with_capacity(cells);
+        let mut spans: Vec<Span> = Vec::new();
+        for run in runs {
+            cols.extend(run.col..run.col + run.len);
+            match spans.last_mut() {
+                Some(s) if s.row == run.row && s.first == run.first => s.len += run.len,
+                _ => spans.push(run),
+            }
+        }
+        Layout {
+            spans,
+            walk: Walk::Rows(cols),
+        }
+    }
+}
+
+impl Bank {
+    /// Call `f(i, j, value, through)` for every banked cell, in
+    /// accumulator order.
+    pub(crate) fn for_each_cell(&self, mut f: impl FnMut(u32, u32, f64, u32)) {
         let mut off = 0;
-        for s in &self.spans {
+        for s in &self.layout.spans {
             let end = off + s.len as usize;
-            let (acc, through) = (&self.acc[off..end], s.first.max(through));
-            match &self.layout {
-                Layout::Slices => {
-                    cells.extend((s.col..).zip(acc).map(|(j, &v)| (s.row, j, v, through)));
+            let (values, through) = (&self.values[off..end], s.first.max(self.through));
+            match &self.layout.walk {
+                Walk::Slices => {
+                    for (j, &v) in (s.col..).zip(values) {
+                        f(s.row, j, v, through);
+                    }
                 }
-                Layout::Rows(cols) => {
-                    let cols = &cols[off..end];
-                    cells.extend(cols.iter().zip(acc).map(|(&j, &v)| (s.row, j, v, through)));
+                Walk::Rows(cols) => {
+                    for (&j, &v) in cols[off..end].iter().zip(values) {
+                        f(s.row, j, v, through);
+                    }
                 }
             }
             off = end;
         }
-        ProcSnapshot { cells }
+    }
+
+    /// Every banked cell as `(i, j, value, through)`, in accumulator order.
+    #[cfg(test)]
+    pub(crate) fn cells(&self) -> Vec<(u32, u32, f64, u32)> {
+        let mut cells = Vec::with_capacity(self.values.len());
+        self.for_each_cell(|i, j, v, through| cells.push((i, j, v, through)));
+        cells
+    }
+
+    /// The value buffer's address and capacity.
+    #[cfg(test)]
+    pub(crate) fn buffer(&self) -> (*const f64, usize) {
+        (self.values.as_ptr(), self.values.capacity())
     }
 }
 
@@ -240,47 +315,73 @@ mod tests {
         }
     }
 
+    /// One layout of one owner's kernel and the slot it banks into.
+    type Banked = (&'static str, Kernel, Option<Bank>);
+
     /// One owner's oracle and its two layouts.
-    type Owner = (Proc, PerCell, [(&'static str, Kernel); 2]);
+    type Owner = (Proc, PerCell, [Banked; 2]);
 
     fn same_bits(x: &[f64], y: &[f64]) -> bool {
         x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
     }
 
+    /// `owner`'s kernel in both layouts, each with an empty bank slot.
+    fn both_layouts(part: &Partition, owner: Proc, state: &CellState) -> [Banked; 2] {
+        let (acc, runs) = Kernel::runs(part, owner, state);
+        let rows = Layout::rows(runs.clone(), acc.len());
+        let slices = Layout {
+            spans: runs,
+            walk: Walk::Slices,
+        };
+        [("slices", slices), ("rows", rows)].map(|(name, layout)| {
+            let layout = Arc::new(layout);
+            let kernel = Kernel {
+                acc: acc.clone(),
+                layout,
+            };
+            (name, kernel, None)
+        })
+    }
+
     /// Run every owner's two layouts and its per-cell oracle from `state`'s
     /// resume step to `n`, comparing accumulator bits and update counts
-    /// after every step, and the banked cells before the first step and
-    /// after the last.
+    /// after every step. Each layout banks into one slot before the first
+    /// step, after a middle step and after the last, so the first bank
+    /// allocates and the later ones copy; every bank, read back through
+    /// the layout, must equal the oracle's cells. So must the completed
+    /// kernel's bank.
     fn check(part: &Partition, state: &CellState, a: &Matrix, b: &Matrix) {
         let n = part.n();
         let mut owners: Vec<Owner> = Proc::ALL
             .into_iter()
             .map(|owner| {
-                let slices = Kernel::runs(part, owner, state);
-                let rows = slices.clone().into_rows();
                 let oracle = PerCell::new(part, owner, state);
-                (owner, oracle, [("slices", slices), ("rows", rows)])
+                (owner, oracle, both_layouts(part, owner, state))
             })
             .collect();
-        let banked = |owners: &[Owner], through: u32| {
+        let banked = |owners: &mut [Owner], through: u32| {
             for (owner, oracle, kernels) in owners {
                 let expect = oracle.snapshot(through);
-                for (name, kernel) in kernels {
-                    let cells = kernel.snapshot(through).cells;
+                for (name, kernel, slot) in kernels {
+                    kernel.bank_into(slot, through);
+                    let cells = slot.as_ref().map(Bank::cells);
                     assert_eq!(
-                        cells, expect,
+                        cells.as_ref(),
+                        Some(&expect),
                         "N = {n}, {owner}, {name}: banked through {through}"
                     );
                 }
             }
         };
-        banked(&owners, state.resume_step() as u32);
-        for k in state.resume_step()..n {
+        let resume = state.resume_step();
+        let middle = (resume + n) / 2;
+        banked(&mut owners, resume as u32);
+        for k in resume..n {
             let a_col: Vec<f64> = (0..n).map(|i| a.get(i, k)).collect();
             let b_row: Vec<f64> = (0..n).map(|j| b.get(k, j)).collect();
             for (owner, oracle, kernels) in &mut owners {
                 let expect = oracle.step(k, &a_col, &b_row);
-                for (name, kernel) in kernels {
+                for (name, kernel, _) in kernels {
                     let got = kernel.step(k, &a_col, &b_row);
                     assert_eq!(got, expect, "N = {n}, {owner}, {name}: updates at step {k}");
                     assert!(
@@ -289,17 +390,29 @@ mod tests {
                     );
                 }
             }
+            if k == middle {
+                banked(&mut owners, k as u32 + 1);
+            }
         }
-        banked(&owners, n as u32);
+        banked(&mut owners, n as u32);
+        for (owner, oracle, kernels) in owners {
+            let expect = oracle.snapshot(n as u32);
+            for (name, kernel, _) in kernels {
+                assert_eq!(
+                    kernel.into_bank(n as u32).cells(),
+                    expect,
+                    "N = {n}, {owner}, {name}: completed"
+                );
+            }
+        }
     }
 
-    /// A `CellState` that absorbed a partial snapshot: each cell, drawn per
+    /// A `CellState` as a partial bank leaves it: each cell, drawn per
     /// cell, is checkpointed either through step 1 or through a step in
     /// `1..=n / 2` that changes every five columns, so runs and rows split
     /// mid-row and the attempt resumes at step 1.
     fn partial_state(n: usize, rng: &mut StdRng) -> CellState {
         let mut state = CellState::new(n);
-        let mut cells = Vec::new();
         for i in 0..n {
             let mut block = 1u32;
             for j in 0..n {
@@ -311,10 +424,10 @@ mod tests {
                 } else {
                     1
                 };
-                cells.push((i as u32, j as u32, rng.random_range(-1.0..1.0), through));
+                state.c[i * n + j] = rng.random_range(-1.0..1.0);
+                state.next_k[i * n + j] = through;
             }
         }
-        state.absorb(&ProcSnapshot { cells });
         state
     }
 
@@ -370,14 +483,14 @@ mod tests {
         for c in &candidates {
             for owner in Proc::ALL {
                 let kernel = Kernel::new(&c.partition, owner, &state);
-                assert_eq!(kernel.layout, Layout::Slices, "{:?}, {owner}", c.ty);
+                assert_eq!(kernel.layout.walk, Walk::Slices, "{:?}, {owner}", c.ty);
             }
         }
         let random = random_partition(n, ratio, &mut rng);
         for owner in Proc::ALL {
             let kernel = Kernel::new(&random, owner, &state);
             assert!(
-                matches!(kernel.layout, Layout::Rows(_)),
+                matches!(kernel.layout.walk, Walk::Rows(_)),
                 "random partition, {owner}"
             );
         }

@@ -48,6 +48,12 @@ impl Matrix {
         m
     }
 
+    /// An `n x n` matrix that takes `data`, row-major, as its storage.
+    pub(crate) fn from_row_major(n: usize, data: Vec<f64>) -> Matrix {
+        assert!(n > 0 && data.len() == n * n);
+        Matrix { n, data }
+    }
+
     /// Dimension.
     #[inline]
     pub fn n(&self) -> usize {

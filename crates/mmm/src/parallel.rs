@@ -107,7 +107,7 @@ pub struct RecoveryStats {
     /// Pivot steps re-run past the resume point (worst cell, summed over
     /// re-attempts). `resumed + replayed == n` per re-attempt.
     pub replayed_steps: u64,
-    /// Step-checkpoint snapshots workers banked with the supervisor.
+    /// Step checkpoints workers banked with the supervisor.
     pub checkpoints: u64,
     /// The run finished via the serial fallback instead of full parallel
     /// recovery. The result is still correct; only the execution shape
@@ -457,7 +457,7 @@ struct Worker {
     /// Supervisor-held checkpoint to bank progress into (present iff a
     /// fault plan is installed — the clean hot path never pays for it).
     checkpoint: Option<Arc<Checkpoint>>,
-    /// Bank a snapshot every this many completed steps.
+    /// Bank every this many completed steps.
     checkpoint_every: usize,
     /// Time source for send deadlines and receive-wait measurement.
     clock: Arc<dyn Clock>,
@@ -478,9 +478,12 @@ impl Worker {
         });
     }
 
-    /// Bank the current accumulators with the supervisor: every owned
-    /// cell, tagged with the step it is valid through (its own resume
-    /// point if that is further along than this attempt's progress).
+    /// Bank the current accumulators with the supervisor, valid through
+    /// step `through`: one copy of the kernel's values into this worker's
+    /// slot, whose buffer the attempt's first bank allocates and later
+    /// banks reuse. The supervisor reads the cells back through the
+    /// kernel's shared layout, each span valid through its own first step
+    /// if that is further along than this attempt's progress.
     fn bank(&self, through: usize) {
         let Some(cp) = &self.checkpoint else {
             return;
@@ -488,7 +491,7 @@ impl Worker {
         let seg = obs::enabled();
         let bank_start = if seg { self.clock.now_nanos() } else { 0 };
         let through = through as u32;
-        cp.bank(self.proc.idx(), self.kernel.snapshot(through));
+        cp.bank(self.proc.idx(), &self.kernel, through);
         if seg {
             let bank_end = self.clock.now_nanos();
             self.segment("checkpoint", "", through as usize, bank_start, bank_end);
@@ -993,15 +996,15 @@ impl Supervisor {
     fn absorb_attempt(&mut self, done: Vec<WorkerDone>, partial: Vec<(Proc, ProcExec)>, n: usize) {
         for (proc, kernel, stats) in done {
             self.fold_stats(proc, &stats);
-            self.state.absorb(&kernel.snapshot(n as u32));
+            self.state.absorb(&kernel.into_bank(n as u32));
         }
         for (proc, stats) in partial {
             self.fold_stats(proc, &stats);
         }
         if let Some(cp) = &self.checkpoint {
             for p in Proc::ALL {
-                if let Some(snapshot) = cp.take(p.idx()) {
-                    self.state.absorb(&snapshot);
+                if let Some(bank) = cp.take(p.idx()) {
+                    self.state.absorb(&bank);
                 }
             }
         }
@@ -1072,12 +1075,11 @@ impl Supervisor {
             self.recovery.checkpoints = cp.writes();
         }
         self.record_metrics();
-        let c = Matrix::from_fn(n, |i, j| self.state.c[i * n + j]);
         let stats = ExecStats {
             per_proc: self.per_proc,
             recovery: self.recovery,
         };
-        (c, stats)
+        (Matrix::from_row_major(n, self.state.c), stats)
     }
 
     /// Graceful degrade: finish every incomplete cell serially from the

@@ -7,31 +7,30 @@
 //! *budgeted*:
 //!
 //! - Workers periodically bank their C accumulators into a [`Checkpoint`]
-//!   owned by the supervisor. Each banked cell carries the pivot step it
-//!   is valid **through**, so the bank stays correct even when a worker's
-//!   cells start at different resume points (re-assigned cells lag the
-//!   worker's original ones).
-//! - The supervisor folds banked snapshots into a [`CellState`] — one
-//!   `(partial value, next pivot step)` pair per C cell. A re-attempt
-//!   starts at [`CellState::resume_step`] (the least-advanced cell) and
-//!   each worker applies a step to a cell only if that cell still needs
-//!   it, so re-assigned cells replay exactly the missing contributions.
+//!   owned by the supervisor. A bank is a copy of the worker's kernel
+//!   accumulators, 8 bytes a cell, into a buffer the worker's slot keeps
+//!   for the rest of the attempt, plus the pivot step the values are
+//!   valid **through**. The cells' positions and first steps are the
+//!   kernel's layout, fixed for the attempt and shared behind an `Arc`,
+//!   so a bank never carries them. A span of cells is valid through its
+//!   own first step when that is further along, so the bank stays correct
+//!   even when a worker's cells start at different resume points
+//!   (re-assigned cells lag the worker's original ones).
+//! - The supervisor reads each bank back through its layout and folds it
+//!   into a [`CellState`] — one `(partial value, next pivot step)` pair
+//!   per C cell. A re-attempt starts at [`CellState::resume_step`] (the
+//!   least-advanced cell) and each worker applies a step to a cell only if
+//!   that cell still needs it, so re-assigned cells replay exactly the
+//!   missing contributions.
 //! - [`BackoffPolicy`] computes the bounded exponential waits used both
 //!   by workers re-arming a timed-out receive and by the supervisor
 //!   between attempts, all through the installed clock so a
 //!   [`hetmmm_obs::FakeClock`] keeps schedules deterministic.
 
+use crate::kernel::{Bank, Kernel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// One worker's banked progress: its C accumulators, each tagged with the
-/// pivot step the value is valid through (all steps `< through` folded in).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ProcSnapshot {
-    /// `(i, j, partial value, through)` per owned cell.
-    pub cells: Vec<(u32, u32, f64, u32)>,
-}
 
 /// Supervisor-held checkpoint: one slot per processor, written by the
 /// worker threads mid-run and drained by the supervisor after each
@@ -39,7 +38,7 @@ pub(crate) struct ProcSnapshot {
 /// each other.
 #[derive(Debug, Default)]
 pub(crate) struct Checkpoint {
-    slots: [Mutex<Option<ProcSnapshot>>; 3],
+    slots: [Mutex<Option<Bank>>; 3],
     writes: AtomicU64,
 }
 
@@ -48,16 +47,18 @@ impl Checkpoint {
         Checkpoint::default()
     }
 
-    /// Bank a snapshot for processor index `idx` (replaces any previous
-    /// one — later snapshots always dominate earlier ones per cell).
-    pub(crate) fn bank(&self, idx: usize, snapshot: ProcSnapshot) {
+    /// Bank `kernel`'s accumulators for processor index `idx`, valid
+    /// through `through` steps. A bank replaces the previous one (later
+    /// banks always dominate earlier ones per cell); after the first bank
+    /// of an attempt it copies into the same buffer.
+    pub(crate) fn bank(&self, idx: usize, kernel: &Kernel, through: u32) {
         let mut slot = self.slots[idx].lock().unwrap_or_else(|p| p.into_inner());
-        *slot = Some(snapshot);
+        kernel.bank_into(&mut slot, through);
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drain the snapshot banked for processor index `idx`, if any.
-    pub(crate) fn take(&self, idx: usize) -> Option<ProcSnapshot> {
+    /// Drain the bank of processor index `idx`, if any.
+    pub(crate) fn take(&self, idx: usize) -> Option<Bank> {
         self.slots[idx]
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -90,16 +91,18 @@ impl CellState {
         }
     }
 
-    /// Fold a banked snapshot in: a cell is overwritten only when the
-    /// snapshot has folded in strictly more pivot steps than the state.
-    pub(crate) fn absorb(&mut self, snapshot: &ProcSnapshot) {
-        for &(i, j, v, through) in &snapshot.cells {
-            let idx = i as usize * self.n + j as usize;
+    /// Fold a bank in, reading it through its layout: a cell is
+    /// overwritten only when the bank has folded in strictly more pivot
+    /// steps than the state.
+    pub(crate) fn absorb(&mut self, bank: &Bank) {
+        let n = self.n;
+        bank.for_each_cell(|i, j, v, through| {
+            let idx = i as usize * n + j as usize;
             if through > self.next_k[idx] {
                 self.c[idx] = v;
                 self.next_k[idx] = through;
             }
-        }
+        });
     }
 
     /// First pivot step any cell still needs — where the next attempt
@@ -150,6 +153,7 @@ impl BackoffPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetmmm_partition::{Partition, Proc};
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -179,50 +183,85 @@ mod tests {
         assert_eq!(p.delay(200), Duration::from_secs(4));
     }
 
+    /// P's kernel over row 0 of a 2×2 C, seeded with `partials` and
+    /// `first` steps, one per column.
+    fn row_kernel(partials: [f64; 2], first: [u32; 2]) -> Kernel {
+        let part = Partition::from_fn(2, |i, _| if i == 0 { Proc::P } else { Proc::R });
+        let mut state = CellState::new(2);
+        state.c[..2].copy_from_slice(&partials);
+        state.next_k[..2].copy_from_slice(&first);
+        Kernel::new(&part, Proc::P, &state)
+    }
+
+    /// One pivot step on `kernel` that adds `row` to its two cells.
+    fn add(kernel: &mut Kernel, row: [f64; 2]) {
+        kernel.step(2, &[1.0, 0.0], &row);
+    }
+
     #[test]
     fn checkpoint_bank_and_take_round_trip() {
         let cp = Checkpoint::new();
         assert!(cp.take(1).is_none());
-        cp.bank(
-            1,
-            ProcSnapshot {
-                cells: vec![(0, 0, 1.5, 3)],
-            },
-        );
-        cp.bank(
-            1,
-            ProcSnapshot {
-                cells: vec![(0, 0, 2.5, 5)],
-            },
-        );
+        let mut kernel = row_kernel([1.5, 0.5], [0, 0]);
+        cp.bank(1, &kernel, 3);
+        add(&mut kernel, [1.0, 1.0]);
+        cp.bank(1, &kernel, 5);
         assert_eq!(cp.writes(), 2);
-        let snap = cp.take(1).expect("banked");
-        assert_eq!(snap.cells, vec![(0, 0, 2.5, 5)]);
+        let bank = cp.take(1).expect("banked");
+        assert_eq!(bank.cells(), vec![(0, 0, 2.5, 5), (0, 1, 1.5, 5)]);
         assert!(cp.take(1).is_none(), "take drains the slot");
+        // A bank of another kernel (the next attempt's) replaces this one.
+        cp.bank(1, &kernel, 5);
+        cp.bank(1, &row_kernel([7.0, 8.0], [0, 0]), 1);
+        let bank = cp.take(1).expect("banked");
+        assert_eq!(bank.cells(), vec![(0, 0, 7.0, 1), (0, 1, 8.0, 1)]);
+        assert_eq!(cp.writes(), 4);
+    }
+
+    #[test]
+    fn a_second_bank_reuses_the_first_banks_buffer() {
+        let cp = Checkpoint::new();
+        let mut kernel = row_kernel([1.0, 2.0], [0, 0]);
+        let buffer = |cp: &Checkpoint| {
+            let slot = cp.slots[0].lock().expect("unpoisoned");
+            slot.as_ref().map(Bank::buffer)
+        };
+        cp.bank(0, &kernel, 1);
+        let first = buffer(&cp);
+        assert!(first.is_some());
+        add(&mut kernel, [3.0, 4.0]);
+        cp.bank(0, &kernel, 2);
+        assert_eq!(buffer(&cp), first, "same pointer, same capacity");
+        let bank = cp.take(0).expect("banked");
+        assert_eq!(bank.cells(), vec![(0, 0, 4.0, 2), (0, 1, 6.0, 2)]);
     }
 
     #[test]
     fn cell_state_absorbs_only_strictly_newer_cells() {
         let mut state = CellState::new(2);
-        state.absorb(&ProcSnapshot {
-            cells: vec![(0, 0, 1.0, 2), (0, 1, 9.0, 1)],
-        });
+        // Cell (0, 0) needs step 2 first, so it is valid through 2 in a
+        // bank through 1.
+        state.absorb(&row_kernel([1.0, 9.0], [2, 0]).into_bank(1));
         // Older/equal `through` must not clobber.
-        state.absorb(&ProcSnapshot {
-            cells: vec![(0, 0, -7.0, 2), (0, 1, 3.0, 0)],
-        });
+        state.absorb(&row_kernel([-7.0, 3.0], [2, 0]).into_bank(0));
+        state.absorb(&row_kernel([-7.0, 3.0], [0, 0]).into_bank(1));
         assert_eq!(state.c[0], 1.0);
         assert_eq!(state.c[1], 9.0);
         assert_eq!(state.next_k, vec![2, 1, 0, 0]);
         assert_eq!(state.resume_step(), 0);
+        // A strictly newer `through` wins.
+        state.absorb(&row_kernel([5.0, 6.0], [0, 0]).into_bank(3));
+        assert_eq!(&state.c[..2], &[5.0, 6.0]);
+        assert_eq!(state.next_k, vec![3, 3, 0, 0]);
     }
 
     #[test]
     fn initial_for_reads_cells_in_order() {
         let mut state = CellState::new(2);
-        state.absorb(&ProcSnapshot {
-            cells: vec![(1, 1, 4.0, 2)],
-        });
+        let part = Partition::from_fn(2, |i, j| if (i, j) == (1, 1) { Proc::P } else { Proc::R });
+        let mut seeded = CellState::new(2);
+        seeded.c[3] = 4.0;
+        state.absorb(&Kernel::new(&part, Proc::P, &seeded).into_bank(2));
         let (acc, next) = state.initial_for(&[(1, 1), (0, 0)]);
         assert_eq!(acc, vec![4.0, 0.0]);
         assert_eq!(next, vec![2, 0]);
@@ -231,14 +270,11 @@ mod tests {
     #[test]
     fn resume_step_is_the_least_advanced_cell() {
         let mut state = CellState::new(2);
-        state.absorb(&ProcSnapshot {
-            cells: vec![
-                (0, 0, 1.0, 4),
-                (0, 1, 1.0, 4),
-                (1, 0, 1.0, 4),
-                (1, 1, 1.0, 3),
-            ],
-        });
+        let part = Partition::new(2, Proc::P);
+        let mut seeded = CellState::new(2);
+        seeded.next_k = vec![4, 4, 4, 0];
+        state.absorb(&Kernel::new(&part, Proc::P, &seeded).into_bank(3));
+        assert_eq!(state.next_k, vec![4, 4, 4, 3]);
         assert_eq!(state.resume_step(), 3);
     }
 }

@@ -291,3 +291,70 @@ fn checkpointed_resume_beats_full_restart() {
     );
     assert!(stats.recovery.checkpoints > 0);
 }
+
+/// Every single crash of a small seeded set of multiplies, checked
+/// exactly: each victim at each pivot step, banking every step and every
+/// third, on the six 5:2:1 candidates and a random 5:2:1 partition. A
+/// crash confesses and its peers see a disconnect at once, so no receive
+/// times out and every recovery counter summed here is a function of the
+/// plan alone. C must equal `kij_serial` bit for bit: a resumed cell
+/// folds its banked partial and then the missing products in ascending
+/// `k`, exactly as the serial loop does.
+#[test]
+fn every_single_crash_recovers_the_exact_product() {
+    let n = 24;
+    let ratio = Ratio::new(5, 2, 1);
+    let mut rng = StdRng::seed_from_u64(5);
+    let a = Matrix::random(n, &mut rng);
+    let b = Matrix::random(n, &mut rng);
+    let mut parts: Vec<Partition> = hetmmm::shapes::candidates::all_feasible(n, ratio)
+        .into_iter()
+        .map(|c| c.partition)
+        .collect();
+    parts.push(random_partition(n, ratio, &mut rng));
+    assert_eq!(parts.len(), 7);
+    let reference: Vec<u64> = {
+        let c = kij_serial(&a, &b);
+        (0..n * n).map(|x| c.get(x / n, x % n).to_bits()).collect()
+    };
+    let mut total = RecoveryStats::default();
+    let (mut updates, mut runs, mut degraded) = (0u64, 0u64, 0u64);
+    for part in &parts {
+        for dead in Proc::ALL {
+            for step in 0..n {
+                for every in [1, 3] {
+                    let config = ExecConfig::default()
+                        .with_checkpoint_every(every)
+                        .with_fault_plan(FaultPlan::crash(dead, step));
+                    let (c, stats) = multiply_partitioned_with(&a, &b, part, &config)
+                        .expect("a single crash must be survivable");
+                    let bits: Vec<u64> =
+                        (0..n * n).map(|x| c.get(x / n, x % n).to_bits()).collect();
+                    assert!(
+                        bits == reference,
+                        "{dead} crashed at step {step}, banking every {every}: C differs"
+                    );
+                    let r = stats.recovery;
+                    total.checkpoints += r.checkpoints;
+                    total.resumed_steps += r.resumed_steps;
+                    total.replayed_steps += r.replayed_steps;
+                    total.elems_reassigned += r.elems_reassigned;
+                    total.faults_detected += r.faults_detected;
+                    total.retries += r.retries;
+                    updates += stats.total_updates();
+                    degraded += u64::from(r.degraded_mode);
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 1_008);
+    assert_eq!(total.checkpoints, 39_816);
+    assert_eq!(total.resumed_steps, 11_088);
+    assert_eq!(total.replayed_steps, 13_104);
+    assert_eq!(total.elems_reassigned, 193_536);
+    assert_eq!(updates, 11_805_696);
+    assert_eq!(total.faults_detected, 1_008);
+    assert_eq!(total.retries, 1_008);
+    assert_eq!(degraded, 0);
+}

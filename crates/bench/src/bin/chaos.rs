@@ -8,8 +8,11 @@
 //! a *typed* degraded outcome — never a panic, a hang, or a silent wrong
 //! answer.
 //!
-//! Every schedule is recorded as one JSONL line (plan included), so any
-//! failing schedule can be replayed exactly with `--replay`:
+//! Each schedule also draws its block of pivot steps per message from
+//! {1, 4, N}, so the sweep covers the per-step exchange, blocks that end
+//! mid-multiply and a single block. Every schedule is recorded as one JSONL
+//! line (plan and block included), so any failing schedule can be replayed
+//! exactly with `--replay`:
 //!
 //! ```text
 //! cargo run --release -p hetmmm-bench --bin chaos -- \
@@ -46,6 +49,8 @@ struct ChaosRecord {
     seed: u64,
     /// Matrix dimension.
     n: usize,
+    /// Pivot steps per message and per bank (`ExecConfig::block`).
+    block: usize,
     /// The fault plan that ran (replayable).
     plan: FaultPlan,
     /// `clean` | `absorbed` | `recovered` | `degraded` | `mismatch` | `error`.
@@ -56,12 +61,15 @@ struct ChaosRecord {
     recovery: hetmmm::mmm::RecoveryStats,
 }
 
-fn chaos_config(plan: FaultPlan) -> ExecConfig {
+/// One schedule to run: index, seed, N, block and fault plan.
+type Schedule = (u64, u64, usize, usize, FaultPlan);
+
+fn chaos_config(plan: FaultPlan, block: usize) -> ExecConfig {
     ExecConfig::default()
         .with_recv_timeout(Duration::from_millis(TIMEOUT_MILLIS))
         .with_retry_attempts(1)
         .with_backoff(Duration::from_millis(10), Duration::from_millis(40))
-        .with_checkpoint_every(1)
+        .with_block(block)
         .with_recovery_deadline(Duration::from_secs(5))
         .with_clock(Arc::new(FakeClock::new()))
         .with_fault_plan(plan)
@@ -70,11 +78,11 @@ fn chaos_config(plan: FaultPlan) -> ExecConfig {
 /// Run one schedule and classify it. The classification order matters:
 /// contract violations first, then the recovery funnel stages from most
 /// to least degraded.
-fn run_schedule(i: u64, seed: u64, n: usize, plan: FaultPlan) -> ChaosRecord {
+fn run_schedule(i: u64, seed: u64, n: usize, block: usize, plan: FaultPlan) -> ChaosRecord {
     let mut rng = StdRng::seed_from_u64(seed);
     let a = Matrix::random(n, &mut rng);
     let b = Matrix::random(n, &mut rng);
-    let config = chaos_config(plan.clone());
+    let config = chaos_config(plan.clone(), block);
     let (outcome, max_abs_err, recovery) =
         match multiply_partitioned_with(&a, &b, &part_for(n), &config) {
             Err(err) => {
@@ -91,6 +99,7 @@ fn run_schedule(i: u64, seed: u64, n: usize, plan: FaultPlan) -> ChaosRecord {
         i,
         seed,
         n,
+        block,
         plan,
         outcome,
         max_abs_err,
@@ -99,8 +108,8 @@ fn run_schedule(i: u64, seed: u64, n: usize, plan: FaultPlan) -> ChaosRecord {
 }
 
 /// The partition every schedule runs on: three horizontal strips, so all
-/// three workers exchange fragments at every pivot step and any victim's
-/// silence is observable.
+/// three workers exchange values at every block and any victim's silence
+/// is observable.
 fn part_for(n: usize) -> Partition {
     Partition::from_fn(n, |i, _| {
         if i < n / 3 {
@@ -158,8 +167,9 @@ fn run(args: &Args) -> i32 {
         .unwrap_or(default_out);
 
     // Build the worklist: either replayed plans from a prior artifact, or
-    // freshly drawn seeded schedules (~10% run fault-free as controls).
-    let worklist: Vec<(u64, u64, usize, FaultPlan)> = if let Some(path) = args.get_str("replay") {
+    // freshly drawn seeded schedules (~10% run fault-free as controls),
+    // each with its block drawn after its plan.
+    let worklist: Vec<Schedule> = if let Some(path) = args.get_str("replay") {
         let body = match std::fs::read_to_string(path) {
             Ok(body) => body,
             Err(err) => {
@@ -167,11 +177,24 @@ fn run(args: &Args) -> i32 {
                 return 2;
             }
         };
-        body.lines()
+        // A line that does not parse (an artifact written before
+        // schedules carried their block, say) fails the replay instead
+        // of silently shrinking it.
+        let parsed: Result<Vec<ChaosRecord>, _> = body
+            .lines()
             .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| serde_json::from_str::<ChaosRecord>(l).ok())
-            .map(|r| (r.i, r.seed, r.n, r.plan))
-            .collect()
+            .map(serde_json::from_str::<ChaosRecord>)
+            .collect();
+        match parsed {
+            Ok(records) => records
+                .into_iter()
+                .map(|r| (r.i, r.seed, r.n, r.block, r.plan))
+                .collect(),
+            Err(err) => {
+                obs::message("chaos.error", format!("cannot parse {path}: {err}"));
+                return 2;
+            }
+        }
     } else {
         (0..schedules)
             .map(|i| {
@@ -182,7 +205,8 @@ fn run(args: &Args) -> i32 {
                 } else {
                     FaultPlan::random_schedule(n, TIMEOUT_MILLIS, &mut rng)
                 };
-                (i, s, n, plan)
+                let block = [1, 4, n][rng.random_range(0..3usize)];
+                (i, s, n, block, plan)
             })
             .collect()
     };
@@ -204,8 +228,8 @@ fn run(args: &Args) -> i32 {
     .iter()
     .map(|&k| (k, 0u64))
     .collect();
-    for (i, s, sched_n, plan) in worklist {
-        let record = run_schedule(i, s, sched_n, plan);
+    for (i, s, sched_n, block, plan) in worklist {
+        let record = run_schedule(i, s, sched_n, block, plan);
         bump(obs::metrics::names::CHAOS_SCHEDULES);
         match record.outcome.as_str() {
             "absorbed" => bump(obs::metrics::names::CHAOS_ABSORBED),
@@ -220,11 +244,12 @@ fn run(args: &Args) -> i32 {
             obs::message(
                 "chaos.failure",
                 format!(
-                    "schedule {} (seed {}) {}: err {:e}, plan {}",
+                    "schedule {} (seed {}) {}: err {:e}, block {}, plan {}",
                     record.i,
                     record.seed,
                     record.outcome,
                     record.max_abs_err,
+                    record.block,
                     serde_json::to_string(&record.plan).unwrap_or_default()
                 ),
             );

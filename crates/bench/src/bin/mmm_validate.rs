@@ -8,6 +8,10 @@
 //!    pairwise volumes (i.e. the cost models charge for exactly the bytes
 //!    the execution moves).
 //!
+//! It also prints how many messages carried that traffic: the workers'
+//! non-empty messages at the default block of pivot steps per message, a
+//! pure function of the partition on a fault-free run.
+//!
 //! ```text
 //! cargo run --release -p hetmmm-bench --bin mmm_validate -- [--n 96] [--p 5] [--r 2] [--s 1]
 //! ```
@@ -38,13 +42,14 @@ fn main() {
     let b = Matrix::random(n, &mut rng);
     let reference = kij_serial(&a, &b);
 
-    let widths = [24, 14, 14, 14, 8];
+    let widths = [24, 14, 14, 14, 10, 8];
     print_row(
         &[
             "partition",
             "max |err|",
             "elems sent",
             "analytic VoC",
+            "messages",
             "check",
         ]
         .map(String::from),
@@ -76,6 +81,7 @@ fn main() {
                 format!("{err:.2e}"),
                 stats.total_sent().to_string(),
                 analytic.to_string(),
+                stats.total_messages().to_string(),
                 "ok".to_string(),
             ],
             &widths,

@@ -10,6 +10,12 @@
 //! (an `Option`): with `None` the per-step check the workers perform is a
 //! lookup in an empty slice, so the production path pays nothing
 //! measurable.
+//!
+//! Workers exchange pivot values in blocks of `ExecConfig::block` steps,
+//! one message per peer at the top of each block. A crash or a stall fires
+//! at the top of its own step, which may lie inside a block whose message
+//! already went out; a drop or a delay acts on the message that carries
+//! its step.
 
 use hetmmm_partition::Proc;
 use rand::{Rng, RngExt};
@@ -24,16 +30,18 @@ pub enum FaultKind {
         /// Pivot step at which the worker dies.
         step: usize,
     },
-    /// The worker silently skips its sends at pivot step `step` but keeps
-    /// running — peers observe a receive timeout (a lost message).
+    /// The worker silently skips its sends of the block that carries
+    /// pivot step `step` but keeps running — peers observe a receive
+    /// timeout or the next block's message out of step (a lost message).
     DropMessageAt {
-        /// Pivot step whose outgoing fragments are lost.
+        /// Pivot step whose block's outgoing messages are lost.
         step: usize,
     },
-    /// The worker sleeps before sending at pivot step `step`. A delay
-    /// shorter than the receive timeout must *not* trigger recovery.
+    /// The worker sleeps before sending the block that carries pivot step
+    /// `step`. A delay shorter than the receive timeout must *not* trigger
+    /// recovery.
     DelaySendAt {
-        /// Pivot step whose sends are delayed.
+        /// Pivot step whose block's sends are delayed.
         step: usize,
         /// Delay duration in milliseconds.
         millis: u64,
@@ -64,7 +72,7 @@ impl FaultKind {
     ///
     /// A delayed send resolves by itself once the sender wakes up (if the
     /// receive budget covers the delay). Everything else is persistent
-    /// silence for the awaited fragment: a crashed or stalled worker never
+    /// silence for the awaited message: a crashed or stalled worker never
     /// speaks again, and a dropped message never arrives no matter how
     /// long the victim waits — those must escalate to blame.
     pub fn is_transient(self) -> bool {

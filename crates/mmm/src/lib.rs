@@ -12,11 +12,13 @@
 //! the communication volume.
 //!
 //! [`parallel::multiply_partitioned`] runs one OS thread per processor.
-//! Each worker holds **only the matrix elements its partition assigns to
-//! it**; pivot fragments travel through bounded channels, so the
-//! communication the cost models count actually happens (and is counted by
-//! the executor's [`parallel::ExecStats`]). The result is verified against
-//! the serial reference in tests for arbitrary partitions.
+//! Each worker **reads only the matrix elements its partition assigns to
+//! it, through its planes**; pivot values travel through bounded channels,
+//! one message per peer per block of [`parallel::ExecConfig::block`] pivot
+//! steps, so the communication the cost models count actually happens (and
+//! is counted by the executor's [`parallel::ExecStats`]). The result is
+//! verified against the serial reference in tests for arbitrary partitions
+//! and blocks.
 //!
 //! Each worker's per-step C update is one kernel call. The kernel keeps
 //! the worker's accumulators row-major and picks a layout per worker from
@@ -31,7 +33,8 @@
 //! [`fault::FaultPlan`] or real) are detected via channel disconnects and
 //! receive timeouts, then run through a layered recovery engine — receive
 //! re-waits with bounded exponential backoff absorb transient silences,
-//! step checkpoints banked with the supervisor let re-attempts resume
+//! checkpoints banked with the supervisor at block boundaries let
+//! re-attempts resume
 //! instead of restarting, convictions re-assign the dead processor's C
 //! cells onto the survivors with [`hetmmm_twoproc::degrade_partition`],
 //! and when survivors, retries, or the recovery deadline run out the
@@ -39,6 +42,7 @@
 //! [`parallel::RecoveryStats::degraded_mode`] instead of erroring — see
 //! DESIGN.md's "Failure model".
 
+mod exchange;
 pub mod fault;
 mod kernel;
 pub mod matrix;

@@ -1,21 +1,22 @@
 //! Partition-driven threaded kij executor with fault tolerance.
 //!
 //! One OS thread per processor plays the role of the paper's three MPI
-//! nodes (Section X-B). Each worker holds only the A/B elements its
-//! partition assigns to it; at every pivot step `k` the owners of column
-//! `k` of A and row `k` of B send the fragments the other workers need
-//! (and only those — a worker owning no C element in row `i` never
-//! receives `A[i,k]`). The communication statistics the executor gathers
+//! nodes (Section X-B). The pivot steps run in blocks of
+//! [`ExecConfig::block`] steps, like the paper's PIO variant that moves "k
+//! rows and columns at a time" (Section II). At the top of a block each
+//! worker sends each peer one message with the block's A and B values it
+//! owns and the peer needs, and nothing else (`crate::exchange`); it reads
+//! its own elements through its planes. The executor's traffic counters
 //! are exactly the quantities the analytic models charge for, so the
-//! integration tests can check executor-counted traffic against
-//! `pairwise_volumes` for any partition. Once a step's fragments are in,
-//! the worker updates its C cells with one call to its kernel
-//! (`crate::kernel`), built per attempt from the partition and the
-//! checkpointed cell state.
+//! tests check them against `pairwise_volumes` for any partition and any
+//! block. The worker then updates its C cells with one call to its kernel
+//! (`crate::kernel`) per step, in ascending `k`, so C is bit-identical at
+//! every block. The kernel is built per attempt from the partition and
+//! the checkpointed cell state.
 //!
 //! ## Failure model
 //!
-//! Fragments travel through *bounded* channels and every receive carries a
+//! Messages travel through *bounded* channels and every receive carries a
 //! timeout, so a worker that crashes (channel disconnect) or stops sending
 //! (receive timeout) is detected rather than deadlocking the run. Recovery
 //! is layered (see DESIGN.md §7):
@@ -25,14 +26,15 @@
 //!    `backoff_base · 2^i`, capped at `backoff_cap`) before the worker
 //!    declares the peer lost — a slow sender within the budget costs a
 //!    retry counter tick and nothing else.
-//! 2. **Supervised re-attempt.** Workers bank step checkpoints with the
-//!    supervisor; on an *inconclusive* failure (timeouts and disconnects
-//!    only, no crash or panic confession) the supervisor re-runs the
-//!    multiply from the last checkpointed step, again with backoff, before
-//!    blaming anyone.
+//! 2. **Supervised re-attempt.** Workers bank checkpoints with the
+//!    supervisor at block boundaries; on an *inconclusive* failure
+//!    (timeouts and disconnects only, no crash or panic confession) the
+//!    supervisor re-runs the multiply from the last checkpointed step,
+//!    again with backoff, before blaming anyone.
 //! 3. **Conviction and degrade.** Persistent silence escalates to blame:
 //!    verdicts are aggregated into a single culprit (workers that finished
-//!    all `n` steps are exempt), the dead processor's C cells re-assigned
+//!    all `n` steps are exempt unless a peer names them), the dead
+//!    processor's C cells re-assigned
 //!    onto the two survivors with [`hetmmm_twoproc::degrade_partition`]
 //!    (Straight-Line below a 3:1 survivor ratio, Square-Corner above),
 //!    and the multiply *resumes* from the checkpoint — re-assigned cells
@@ -46,6 +48,7 @@
 //! Failures are scripted deterministically through [`FaultPlan`] for
 //! testing; recovery activity is reported in [`RecoveryStats`].
 
+use crate::exchange::{Block, BlockMessage, Exchange};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::Kernel;
 use crate::matrix::Matrix;
@@ -55,6 +58,7 @@ use hetmmm_obs::{self as obs, Clock};
 use hetmmm_partition::{Partition, Proc};
 use hetmmm_twoproc::{degrade_partition, fallback_survivor};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,11 +68,11 @@ use std::time::Duration;
 pub struct ProcExec {
     /// Scalar updates `C[i,j] += A[i,k] * B[k,j]` performed.
     pub updates: u64,
-    /// Fragment elements sent to other workers.
+    /// Pivot values sent to other workers.
     pub elems_sent: u64,
-    /// Fragment elements received from other workers.
+    /// Pivot values received from other workers.
     pub elems_recv: u64,
-    /// Non-empty fragment messages sent.
+    /// Non-empty messages sent: at most one per peer per block.
     pub messages: u64,
     /// Timed-out receives this worker re-armed instead of escalating.
     pub recv_retries: u64,
@@ -107,7 +111,7 @@ pub struct RecoveryStats {
     /// Pivot steps re-run past the resume point (worst cell, summed over
     /// re-attempts). `resumed + replayed == n` per re-attempt.
     pub replayed_steps: u64,
-    /// Step checkpoints workers banked with the supervisor.
+    /// Checkpoints workers banked with the supervisor.
     pub checkpoints: u64,
     /// The run finished via the serial fallback instead of full parallel
     /// recovery. The result is still correct; only the execution shape
@@ -143,7 +147,7 @@ impl ExecStats {
     }
 
     /// Map the measured counters onto a platform clock, SCB-style: all
-    /// fragments serially on one medium (`α` per message, `β` per
+    /// messages serially on one medium (`α` per message, `β` per
     /// element), then computation in parallel at the platform's speeds.
     ///
     /// Because the executor's traffic equals the analytic pairwise volumes
@@ -166,7 +170,7 @@ impl ExecStats {
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// Capacity (in messages) of each worker-to-worker channel. Small and
-    /// bounded: a healthy run stays in lockstep, so a handful of steps of
+    /// bounded: a healthy run stays in lockstep, so a handful of blocks of
     /// slack is plenty, and a dead receiver can only absorb this much
     /// before its peers notice. Must be nonzero ([`ExecConfig::validate`]).
     pub channel_capacity: usize,
@@ -186,10 +190,11 @@ pub struct ExecConfig {
     pub backoff_base: Duration,
     /// Upper bound on any single backoff slice.
     pub backoff_cap: Duration,
-    /// Bank a checkpoint every this many completed pivot steps (per
-    /// worker). Checkpointing only runs when a fault plan is installed,
-    /// so the production hot path is untouched. Must be nonzero.
-    pub checkpoint_every: usize,
+    /// Pivot steps per exchange: each worker sends each peer one message
+    /// per block of this many steps and, when a fault plan is installed,
+    /// banks a checkpoint at every block boundary. Values above `n` act as
+    /// `n`. Must be nonzero.
+    pub block: usize,
     /// Global wall budget for recovery, measured on [`ExecConfig::clock`]
     /// from the first detected failure. Once exceeded, the supervisor
     /// stops re-attempting and finishes serially in degraded mode.
@@ -213,7 +218,7 @@ impl Default for ExecConfig {
             retry_attempts: 2,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_millis(200),
-            checkpoint_every: 1,
+            block: 16,
             recovery_deadline: Duration::from_secs(30),
             fault_plan: None,
             clock: Arc::new(obs::MonotonicClock),
@@ -255,9 +260,10 @@ impl ExecConfig {
         self
     }
 
-    /// Builder-style: set the checkpoint cadence (in pivot steps).
-    pub fn with_checkpoint_every(mut self, steps: usize) -> ExecConfig {
-        self.checkpoint_every = steps;
+    /// Builder-style: set the block (pivot steps per exchange and per
+    /// bank).
+    pub fn with_block(mut self, steps: usize) -> ExecConfig {
+        self.block = steps;
         self
     }
 
@@ -277,7 +283,7 @@ impl ExecConfig {
     ///
     /// A zero receive timeout never fires `recv_timeout` meaningfully, a
     /// zero-capacity channel turns every send into a rendezvous that
-    /// deadlocks the lockstep protocol, a zero checkpoint cadence is a
+    /// deadlocks the lockstep protocol, a zero block is a
     /// division-by-zero wearing a trench coat, and a cap below the base
     /// makes the backoff ladder non-monotone. All are misuse, surfaced
     /// eagerly as [`HetmmmError::InvalidConfig`].
@@ -300,8 +306,8 @@ impl ExecConfig {
                 "must be nonzero (a zero timeout convicts every peer instantly)",
             );
         }
-        if self.checkpoint_every == 0 {
-            return invalid("checkpoint_every", "must be nonzero");
+        if self.block == 0 {
+            return invalid("block", "must be nonzero");
         }
         if self.backoff_cap < self.backoff_base {
             return invalid("backoff_cap", "must be >= backoff_base");
@@ -325,13 +331,6 @@ impl ExecConfig {
         self.recv_timeout + self.backoff().total_extra()
     }
 }
-
-/// One step's fragments from one sender: the pivot step `k`, `(row,
-/// value)` pairs of A-column `k` and `(col, value)` pairs of B-row `k`
-/// that the receiver needs. The step tag lets a receiver detect a lost
-/// message immediately (the next message arrives out of step) instead of
-/// silently consuming shifted fragments.
-type StepMessage = (usize, Vec<(u32, f64)>, Vec<(u32, f64)>);
 
 /// How a worker's run ended. Workers never panic on peer failure — they
 /// report, and the supervisor decides.
@@ -369,7 +368,8 @@ enum Loss {
     SendTimedOut,
     /// Nothing arrived within the receive budget, retries included.
     RecvTimedOut,
-    /// A message of another step arrived: one upstream was lost.
+    /// A message of another block, or with a value count the partition
+    /// does not give, arrived: one upstream was lost.
     OutOfStep,
 }
 
@@ -395,8 +395,8 @@ impl Loss {
 /// caller turns it into a `blocked` timeline segment. The fast path pays
 /// no extra clock reads.
 fn send_with_deadline(
-    tx: &SyncSender<StepMessage>,
-    mut msg: StepMessage,
+    tx: &SyncSender<BlockMessage>,
+    mut msg: BlockMessage,
     timeout: Duration,
     clock: &dyn Clock,
 ) -> Result<Option<(u64, u64)>, Loss> {
@@ -425,26 +425,26 @@ fn send_with_deadline(
     }
 }
 
-struct Worker {
+struct Worker<'a> {
     proc: Proc,
-    n: usize,
+    /// The attempt's partition: which A and B values this worker owns and
+    /// which of them each peer needs.
+    part: &'a Partition,
+    /// The operands, read only through this worker's planes.
+    a: &'a Matrix,
+    b: &'a Matrix,
     /// First pivot step of this attempt (the global resume point).
     start: usize,
-    /// `a_frags[k]`: owned `(i, A[i,k])` pairs.
-    a_frags: Vec<Vec<(u32, f64)>>,
-    /// `b_frags[k]`: owned `(j, B[k,j])` pairs.
-    b_frags: Vec<Vec<(u32, f64)>>,
+    /// Pivot steps per message and per bank, at most `n`. Blocks start at
+    /// `start`.
+    block: usize,
     /// Owned C cells: accumulators seeded from the checkpointed partials,
     /// each applying only the steps its cell still needs.
     kernel: Kernel,
-    /// `row_needed[Y][i]`: does processor `Y` own C elements in row `i`?
-    row_needed: [Vec<bool>; 3],
-    /// `col_needed[Y][j]`.
-    col_needed: [Vec<bool>; 3],
     /// Outgoing channels to the other active workers.
-    out: Vec<(Proc, SyncSender<StepMessage>)>,
+    out: Vec<(Proc, SyncSender<BlockMessage>)>,
     /// Incoming channels from the other active workers.
-    inbox: Vec<(Proc, Receiver<StepMessage>)>,
+    inbox: Vec<(Proc, Receiver<BlockMessage>)>,
     /// This worker's scripted faults (empty outside injection tests).
     faults: Vec<FaultKind>,
     /// Base receive wait before the retry ladder starts.
@@ -457,13 +457,11 @@ struct Worker {
     /// Supervisor-held checkpoint to bank progress into (present iff a
     /// fault plan is installed — the clean hot path never pays for it).
     checkpoint: Option<Arc<Checkpoint>>,
-    /// Bank every this many completed steps.
-    checkpoint_every: usize,
     /// Time source for send deadlines and receive-wait measurement.
     clock: Arc<dyn Clock>,
 }
 
-impl Worker {
+impl Worker<'_> {
     /// Emit one timeline segment attributing `[start, end]` of this
     /// worker's wall time to `kind`. Callers gate on [`obs::enabled`] so
     /// the uninstrumented path never constructs the arguments.
@@ -520,13 +518,15 @@ impl Worker {
 
     fn run(mut self) -> Verdict {
         let _span = obs::span_arg("exec.worker", self.proc.idx() as u64);
-        let n = self.n;
+        let n = self.part.n();
         let mut stats = ProcExec::default();
-        let mut a_col = vec![0.0f64; n];
-        let mut b_row = vec![0.0f64; n];
+        let mut block = Block::new(n, self.block);
 
         for k in self.start..n {
-            // Injected faults scripted for this step.
+            let k0 = k - (k - self.start) % self.block;
+            let steps = k0..(k0 + self.block).min(n);
+            // Injected faults: a crash or a stall at the top of its step, a
+            // drop or a delay on the message that carries its step.
             let mut drop_sends = false;
             for &fault in &self.faults {
                 match fault {
@@ -536,12 +536,14 @@ impl Worker {
                         // dies with us — that is the modeled loss.
                         return Verdict::Crashed { step: k };
                     }
-                    FaultKind::DropMessageAt { step } if step == k => drop_sends = true,
+                    FaultKind::DropMessageAt { step } if k == k0 && steps.contains(&step) => {
+                        drop_sends = true;
+                    }
                     #[expect(
                         clippy::disallowed_methods,
                         reason = "the injected stall IS the modeled fault"
                     )]
-                    FaultKind::DelaySendAt { step, millis } if step == k => {
+                    FaultKind::DelaySendAt { step, millis } if k == k0 && steps.contains(&step) => {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
                     #[expect(
@@ -559,154 +561,150 @@ impl Worker {
                     _ => {}
                 }
             }
-
-            // Send the needed slices of our fragments to each peer.
-            // `seg` gates all timeline-segment work this step; like the
-            // event emissions it costs one relaxed load when off.
-            let seg = obs::enabled();
-            if !drop_sends {
-                for (peer, tx) in &self.out {
-                    let a_part: Vec<(u32, f64)> = self.a_frags[k]
-                        .iter()
-                        .copied()
-                        .filter(|&(i, _)| self.row_needed[peer.idx()][i as usize])
-                        .collect();
-                    let b_part: Vec<(u32, f64)> = self.b_frags[k]
-                        .iter()
-                        .copied()
-                        .filter(|&(j, _)| self.col_needed[peer.idx()][j as usize])
-                        .collect();
-                    let payload = (a_part.len() + b_part.len()) as u64;
-                    let send_start = if seg { self.clock.now_nanos() } else { 0 };
-                    match send_with_deadline(
-                        tx,
-                        (k, a_part, b_part),
-                        self.send_patience,
-                        &*self.clock,
-                    ) {
-                        Ok(blocked) => {
-                            stats.elems_sent += payload;
-                            if payload > 0 {
-                                stats.messages += 1;
-                            }
-                            if seg {
-                                let send_end = self.clock.now_nanos();
-                                let peer_name = peer.to_string();
-                                if let Some((b0, b1)) = blocked {
-                                    self.segment("blocked", &peer_name, k, b0, b1);
-                                }
-                                self.segment("send", &peer_name, k, send_start, send_end);
-                                if payload > 0 {
-                                    obs::emit(obs::EventKind::ExecSend {
-                                        from: self.proc.to_string(),
-                                        to: peer_name,
-                                        step: k as u64,
-                                        elems: payload,
-                                    });
-                                }
-                            }
-                        }
-                        Err(loss) => return self.peer_lost(stats, *peer, k, loss),
-                    }
-                }
-            }
-            // Own fragments.
-            for &(i, v) in &self.a_frags[k] {
-                a_col[i as usize] = v;
-            }
-            for &(j, v) in &self.b_frags[k] {
-                b_row[j as usize] = v;
-            }
-            // Receive every active peer's fragments, re-arming timed-out
-            // waits with bounded exponential backoff before escalating.
-            for (peer, rx) in &self.inbox {
-                // Measure blocked time only when someone is listening; the
-                // uninstrumented path stays two relaxed loads per receive.
-                let timing = obs::enabled() || obs::metrics_enabled();
-                let wait_start = if timing { self.clock.now_nanos() } else { 0 };
-                let mut window = self.timeout;
-                let mut rewaits = 0u32;
-                let (msg_step, a_part, b_part) = loop {
-                    match rx.recv_timeout(window) {
-                        Ok(msg) => break msg,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if rewaits >= self.retry.attempts {
-                                return self.peer_lost(stats, *peer, k, Loss::RecvTimedOut);
-                            }
-                            window = self.retry.delay(rewaits);
-                            rewaits += 1;
-                            stats.recv_retries += 1;
-                            if obs::enabled() {
-                                obs::emit(obs::EventKind::ExecRetry {
-                                    worker: self.proc.to_string(),
-                                    peer: peer.to_string(),
-                                    step: k as u64,
-                                    attempt: rewaits as u64,
-                                    wait_nanos: window.as_nanos() as u64,
-                                });
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return self.peer_lost(stats, *peer, k, Loss::Disconnected)
-                        }
-                    }
-                };
-                if msg_step != k {
-                    return self.peer_lost(stats, *peer, k, Loss::OutOfStep);
-                }
-                let received = (a_part.len() + b_part.len()) as u64;
-                stats.elems_recv += received;
-                if timing {
-                    let wait_nanos = self.clock.now_nanos().saturating_sub(wait_start);
-                    if obs::metrics_enabled() {
-                        obs::metrics()
-                            .histogram(obs::metrics::names::EXEC_RECV_WAIT_NANOS)
-                            .observe(wait_nanos);
-                    }
-                    if obs::enabled() {
-                        let peer_name = peer.to_string();
-                        self.segment(
-                            "recv-wait",
-                            &peer_name,
-                            k,
-                            wait_start,
-                            wait_start.saturating_add(wait_nanos),
-                        );
-                        obs::emit(obs::EventKind::ExecRecv {
-                            from: peer_name,
-                            to: self.proc.to_string(),
-                            step: k as u64,
-                            elems: received,
-                            wait_nanos,
-                        });
-                    }
-                }
-                for (i, v) in a_part {
-                    a_col[i as usize] = v;
-                }
-                for (j, v) in b_part {
-                    b_row[j as usize] = v;
+            if k == k0 {
+                let exchanged = self.exchange_block(&steps, !drop_sends, &mut stats, &mut block);
+                if let Err(lost) = exchanged {
+                    return lost;
                 }
             }
             // Update every owned C element that still needs this step
             // (checkpointed cells skip steps already folded in).
+            let seg = obs::enabled();
             let compute_start = if seg { self.clock.now_nanos() } else { 0 };
-            stats.updates += self.kernel.step(k, &a_col, &b_row);
+            let (a_col, b_row) = block.step(k);
+            stats.updates += self.kernel.step(k, a_col, b_row);
             if seg {
                 let compute_end = self.clock.now_nanos();
                 self.segment("compute", "", k, compute_start, compute_end);
             }
-            // Periodically bank progress so a later crash of *anyone*
-            // resumes from here instead of step zero. The final step skips
-            // the bank — the Completed verdict carries everything.
-            if self.checkpoint.is_some()
-                && k + 1 < n
-                && (k + 1 - self.start) % self.checkpoint_every == 0
-            {
+            // Bank progress at every block boundary so a later crash of
+            // *anyone* resumes from here instead of step zero. The final
+            // step skips the bank — the Completed verdict carries
+            // everything.
+            if self.checkpoint.is_some() && k + 1 < n && k + 1 == steps.end {
                 self.bank(k + 1);
             }
         }
         Verdict::Completed(self.kernel, stats)
+    }
+
+    /// At the top of a block: send every peer the values of `steps` it
+    /// needs in one message (unless a fault drops them), read this worker's
+    /// own values, and receive every peer's message, re-arming timed-out
+    /// waits with bounded exponential backoff before escalating. Events and
+    /// segments carry the block's first step.
+    fn exchange_block(
+        &self,
+        steps: &Range<usize>,
+        send: bool,
+        stats: &mut ProcExec,
+        block: &mut Block,
+    ) -> Result<(), Verdict> {
+        let k0 = steps.start;
+        // `seg` gates all timeline-segment work this block; like the event
+        // emissions it costs one relaxed load when off.
+        let seg = obs::enabled();
+        for (peer, tx) in self.out.iter().filter(|_| send) {
+            let to = Exchange::new(self.part, self.proc, *peer);
+            let mut values = Vec::with_capacity(to.count(steps.clone()));
+            to.walk(steps.clone(), |p| values.push(p.read(self.a, self.b)));
+            let payload = values.len() as u64;
+            let send_start = if seg { self.clock.now_nanos() } else { 0 };
+            match send_with_deadline(tx, (k0, values), self.send_patience, &*self.clock) {
+                Ok(blocked) => {
+                    stats.elems_sent += payload;
+                    if payload > 0 {
+                        stats.messages += 1;
+                    }
+                    if seg {
+                        let send_end = self.clock.now_nanos();
+                        let peer_name = peer.to_string();
+                        if let Some((b0, b1)) = blocked {
+                            self.segment("blocked", &peer_name, k0, b0, b1);
+                        }
+                        self.segment("send", &peer_name, k0, send_start, send_end);
+                        if payload > 0 {
+                            obs::emit(obs::EventKind::ExecSend {
+                                from: self.proc.to_string(),
+                                to: peer_name,
+                                step: k0 as u64,
+                                elems: payload,
+                            });
+                        }
+                    }
+                }
+                Err(loss) => return Err(self.peer_lost(*stats, *peer, k0, loss)),
+            }
+        }
+        block.start(k0);
+        let (a, b) = (self.a, self.b);
+        Exchange::new(self.part, self.proc, self.proc)
+            .walk(steps.clone(), |p| *block.slot(p) = p.read(a, b));
+        for (peer, rx) in &self.inbox {
+            // Measure blocked time only when someone is listening; the
+            // uninstrumented path stays two relaxed loads per receive.
+            let timing = obs::enabled() || obs::metrics_enabled();
+            let wait_start = if timing { self.clock.now_nanos() } else { 0 };
+            let mut window = self.timeout;
+            let mut rewaits = 0u32;
+            let (msg_step, values) = loop {
+                match rx.recv_timeout(window) {
+                    Ok(msg) => break msg,
+                    Err(RecvTimeoutError::Timeout) => {
+                        if rewaits >= self.retry.attempts {
+                            return Err(self.peer_lost(*stats, *peer, k0, Loss::RecvTimedOut));
+                        }
+                        window = self.retry.delay(rewaits);
+                        rewaits += 1;
+                        stats.recv_retries += 1;
+                        if obs::enabled() {
+                            obs::emit(obs::EventKind::ExecRetry {
+                                worker: self.proc.to_string(),
+                                peer: peer.to_string(),
+                                step: k0 as u64,
+                                attempt: rewaits as u64,
+                                wait_nanos: window.as_nanos() as u64,
+                            });
+                        }
+                    }
+                    Err(RecvTimeoutError::Disconnected) => {
+                        return Err(self.peer_lost(*stats, *peer, k0, Loss::Disconnected))
+                    }
+                }
+            };
+            let from = Exchange::new(self.part, *peer, self.proc);
+            if msg_step != k0 || values.len() != from.count(steps.clone()) {
+                return Err(self.peer_lost(*stats, *peer, k0, Loss::OutOfStep));
+            }
+            let received = values.len() as u64;
+            stats.elems_recv += received;
+            if timing {
+                let wait_nanos = self.clock.now_nanos().saturating_sub(wait_start);
+                if obs::metrics_enabled() {
+                    obs::metrics()
+                        .histogram(obs::metrics::names::EXEC_RECV_WAIT_NANOS)
+                        .observe(wait_nanos);
+                }
+                if obs::enabled() {
+                    let peer_name = peer.to_string();
+                    let wait_end = wait_start.saturating_add(wait_nanos);
+                    self.segment("recv-wait", &peer_name, k0, wait_start, wait_end);
+                    obs::emit(obs::EventKind::ExecRecv {
+                        from: peer_name,
+                        to: self.proc.to_string(),
+                        step: k0 as u64,
+                        elems: received,
+                        wait_nanos,
+                    });
+                }
+            }
+            // The count matches the walk, so every value has its slot.
+            let mut values = values.into_iter();
+            from.walk(steps.clone(), |p| {
+                *block.slot(p) = values.next().unwrap_or_default()
+            });
+        }
+        Ok(())
     }
 }
 
@@ -748,52 +746,24 @@ fn run_attempt(
     active: &[Proc],
     ctx: &AttemptCtx,
 ) -> Attempt {
-    let n = part.n();
     let config = ctx.config;
 
-    // Bounded channels between each ordered pair of active workers.
-    let mut txs: Vec<Vec<Option<SyncSender<StepMessage>>>> = vec![vec![None, None, None]; 3];
-    let mut rxs: Vec<Vec<Option<Receiver<StepMessage>>>> =
-        (0..3).map(|_| vec![None, None, None]).collect();
+    // Bounded channels between each ordered pair of active workers; each
+    // worker lists its peers in processor order.
+    let mut out: [Vec<(Proc, SyncSender<BlockMessage>)>; 3] = Default::default();
+    let mut inbox: [Vec<(Proc, Receiver<BlockMessage>)>; 3] = Default::default();
     for &x in active {
-        for &y in active {
-            if x == y {
-                continue;
-            }
+        for &y in active.iter().filter(|&&y| y != x) {
             let (tx, rx) = sync_channel(config.channel_capacity);
-            txs[x.idx()][y.idx()] = Some(tx);
-            rxs[y.idx()][x.idx()] = Some(rx);
+            out[x.idx()].push((y, tx));
+            inbox[y.idx()].push((x, rx));
         }
     }
-
-    // Need maps shared by value (small).
-    let row_needed: [Vec<bool>; 3] =
-        Proc::ALL.map(|y| (0..n).map(|i| part.row_has(y, i)).collect());
-    let col_needed: [Vec<bool>; 3] =
-        Proc::ALL.map(|y| (0..n).map(|j| part.col_has(y, j)).collect());
 
     let budget = config.receive_budget();
 
     let mut workers: Vec<Worker> = Vec::with_capacity(active.len());
     for &x in active {
-        let mut a_frags = vec![Vec::new(); n];
-        let mut b_frags = vec![Vec::new(); n];
-        for (i, j) in part.cells_of(x) {
-            // A element (i, j) belongs to column-fragment j; B element
-            // (i, j) belongs to row-fragment i.
-            a_frags[j].push((i as u32, a.get(i, j)));
-            b_frags[i].push((j as u32, b.get(i, j)));
-        }
-        let out: Vec<(Proc, SyncSender<StepMessage>)> = x
-            .others()
-            .into_iter()
-            .filter_map(|y| txs[x.idx()][y.idx()].take().map(|tx| (y, tx)))
-            .collect();
-        let inbox: Vec<(Proc, Receiver<StepMessage>)> = x
-            .others()
-            .into_iter()
-            .filter_map(|y| rxs[x.idx()][y.idx()].take().map(|rx| (y, rx)))
-            .collect();
         let faults = config
             .fault_plan
             .as_ref()
@@ -801,22 +771,20 @@ fn run_attempt(
             .unwrap_or_default();
         workers.push(Worker {
             proc: x,
-            n,
+            part,
+            a,
+            b,
             start: ctx.start,
-            a_frags,
-            b_frags,
+            block: config.block.min(part.n()),
             kernel: Kernel::new(part, x, ctx.state),
-            row_needed: row_needed.clone(),
-            col_needed: col_needed.clone(),
-            out,
-            inbox,
+            out: std::mem::take(&mut out[x.idx()]),
+            inbox: std::mem::take(&mut inbox[x.idx()]),
             faults,
             timeout: config.recv_timeout,
             retry: config.backoff(),
             send_patience: budget,
             park: budget * 2 + Duration::from_millis(50),
             checkpoint: ctx.checkpoint.cloned(),
-            checkpoint_every: config.checkpoint_every,
             clock: Arc::clone(&config.clock),
         });
     }
@@ -880,8 +848,12 @@ fn run_attempt(
     // innocent peer that already exited after detecting the real failure.
     // Without the weighting, the first detector's early exit can out-vote
     // the actual culprit. A worker that finished all `n` steps is exempt
-    // from conviction — completion is proof of life. Ties break toward
-    // the lower processor index, deterministically.
+    // from conviction unless a peer names it: finishing proves it was
+    // alive, not that its sends arrived (a worker that drops its messages
+    // of the final block still receives its peers' and finishes). It
+    // received everything sent to it, so only a message it withheld can
+    // name it, which weighs as much as an out-of-step one. Ties break
+    // toward the lower processor index, deterministically.
     let mut conclusive = false;
     let mut blame = [0u32; 3];
     for (proc, verdict) in &failed {
@@ -915,17 +887,22 @@ fn run_attempt(
             }
             Verdict::PeerLost { peer, loss, stats } => {
                 partial.push((*proc, *stats));
+                let loss = if completed[peer.idx()] {
+                    Loss::OutOfStep
+                } else {
+                    *loss
+                };
                 blame[peer.idx()] += loss.describe().1;
             }
         }
     }
-    // Convict among the workers that did not finish (completion is an
-    // alibi); strict `>` keeps the first maximum, preferring the lower
-    // processor index on ties.
+    // Convict among the workers that did not finish or that a peer names;
+    // strict `>` keeps the first maximum, preferring the lower processor
+    // index on ties.
     let mut dead_idx: Option<usize> = None;
     for &p in active {
         let i = p.idx();
-        if completed[i] {
+        if completed[i] && blame[i] == 0 {
             continue;
         }
         match dead_idx {
@@ -952,7 +929,7 @@ fn run_attempt(
 }
 
 /// Multiply `A x B` with ownership given by `part`, one thread per
-/// processor, fragments exchanged through bounded channels. Returns the
+/// processor, pivot values exchanged in blocks through bounded channels. Returns the
 /// assembled C and the executor statistics.
 ///
 /// Fails with [`HetmmmError::DimensionMismatch`] if the matrices and
@@ -1127,7 +1104,7 @@ impl Supervisor {
 }
 
 /// [`multiply_partitioned`] with explicit executor configuration —
-/// channel capacity, timeouts, retry/backoff budgets, checkpoint cadence,
+/// channel capacity, timeouts, retry/backoff budgets, the block,
 /// recovery deadline, and (for tests) a deterministic [`FaultPlan`].
 ///
 /// Rejects wedge-prone configurations with
@@ -1386,10 +1363,7 @@ mod tests {
                 ExecConfig::default().with_recv_timeout(Duration::ZERO),
                 "recv_timeout",
             ),
-            (
-                ExecConfig::default().with_checkpoint_every(0),
-                "checkpoint_every",
-            ),
+            (ExecConfig::default().with_block(0), "block"),
             (
                 ExecConfig::default()
                     .with_backoff(Duration::from_millis(100), Duration::from_millis(10)),
@@ -1409,24 +1383,43 @@ mod tests {
     #[test]
     fn traffic_matches_pairwise_volumes() {
         // The executor sends exactly the elements the analytic accounting
-        // charges for: fragment element (i,k) of A goes to Y iff Y owns C
-        // cells in row i, etc.
+        // charges for: element (i,k) of A goes to Y iff Y owns C cells in
+        // row i, etc. Each sender's `elems_sent` below is its row sum of
+        // `pairwise_volumes`, and with one step per message every counter
+        // is what the per-step exchange counted. `tests/mmm_correctness.rs`
+        // checks this partition's C and traffic at every block.
         let n = 18;
         let (a, b) = random_matrices(n, 10);
         let part = PartitionBuilder::new(n)
             .rect(Rect::new(0, 8, 0, 5), Proc::R)
             .rect(Rect::new(10, 17, 9, 17), Proc::S)
             .build();
-        let (_, stats) = multiply_partitioned(&a, &b, &part).unwrap();
-        let vol = pairwise_volumes(&part);
-        let expect: u64 = vol.iter().flatten().sum();
-        assert_eq!(stats.total_sent(), expect);
+        let (_, stats) =
+            multiply_partitioned_with(&a, &b, &part, &ExecConfig::default().with_block(1)).unwrap();
         assert_eq!(stats.total_sent(), part.voc());
-        // Per-sender totals match the row sums of the volume matrix.
+        let vol = pairwise_volumes(&part);
         for x in Proc::ALL {
-            let sent: u64 = vol[x.idx()].iter().sum();
-            assert_eq!(stats.per_proc[x.idx()].elems_sent, sent, "{x}");
+            assert_eq!(
+                stats.per_proc[x.idx()].elems_sent,
+                vol[x.idx()].iter().sum()
+            );
         }
+        let proc = |updates, elems_sent, elems_recv, messages| ProcExec {
+            updates,
+            elems_sent,
+            elems_recv,
+            messages,
+            recv_retries: 0,
+        };
+        let per_step = ExecStats {
+            per_proc: [
+                proc(972, 108, 162, 9),
+                proc(1296, 144, 162, 9),
+                proc(3564, 324, 252, 22),
+            ],
+            recovery: RecoveryStats::default(),
+        };
+        assert_eq!(stats, per_step);
     }
 
     #[test]
@@ -1488,12 +1481,20 @@ mod tests {
         let part = PartitionBuilder::new(n)
             .rect(Rect::new(0, 5, 0, 11), Proc::R)
             .build();
-        let (_, stats) = multiply_partitioned(&a, &b, &part).unwrap();
-        // Each worker sends at most 2 peers x n steps non-empty messages.
-        for p in Proc::ALL {
-            assert!(stats.per_proc[p.idx()].messages <= (2 * n) as u64);
+        for block in [1, 4, 16, n] {
+            let config = ExecConfig::default().with_block(block);
+            let (_, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
+            // Each worker sends each of 2 peers at most one non-empty
+            // message per block.
+            for p in Proc::ALL {
+                let messages = stats.per_proc[p.idx()].messages;
+                assert!(
+                    messages <= (2 * n.div_ceil(block)) as u64,
+                    "block {block}, {p}"
+                );
+            }
+            assert!(stats.total_messages() > 0);
         }
-        assert!(stats.total_messages() > 0);
     }
 
     // ---- fault-tolerance tests ----
@@ -1511,7 +1512,9 @@ mod tests {
         let (a, b) = random_matrices(n, 31);
         let part = three_way(n);
         let dead_elems = part.elems(Proc::S) as u64;
-        let config = fast_config().with_fault_plan(FaultPlan::crash(Proc::S, n / 2));
+        let config = fast_config()
+            .with_block(1)
+            .with_fault_plan(FaultPlan::crash(Proc::S, n / 2));
         let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
         assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
         assert_eq!(stats.recovery.faults_detected, 1);
@@ -1520,8 +1523,8 @@ mod tests {
         // A crash is a confession: convicted immediately, no supervisor
         // backoff attempts burned.
         assert_eq!(stats.recovery.attempt_retries, 0);
-        // With checkpoint_every = 1 the re-attempt resumes at the crash
-        // step instead of replaying from scratch.
+        // With a block of 1 the re-attempt resumes at the crash step
+        // instead of replaying from scratch.
         assert_eq!(stats.recovery.resumed_steps, (n / 2) as u64);
         assert_eq!(stats.recovery.replayed_steps, (n - n / 2) as u64);
         assert!(stats.recovery.checkpoints > 0);
@@ -1677,7 +1680,7 @@ mod tests {
         let plan = FaultPlan::new()
             .with_fault(Proc::R, FaultKind::CrashAt { step: 2 })
             .with_fault(Proc::S, FaultKind::CrashAt { step: 5 });
-        let config = fast_config().with_fault_plan(plan);
+        let config = fast_config().with_block(1).with_fault_plan(plan);
         let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
         assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
         // The cascade re-enters blame per fault: two convictions, then a
@@ -1734,7 +1737,9 @@ mod tests {
         let n = 10;
         let (a, b) = random_matrices(n, 38);
         let part = Partition::new(n, Proc::P);
-        let config = fast_config().with_fault_plan(FaultPlan::crash(Proc::P, 4));
+        let config = fast_config()
+            .with_block(1)
+            .with_fault_plan(FaultPlan::crash(Proc::P, 4));
         let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
         assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
         assert_eq!(stats.recovery.elems_reassigned, (n * n) as u64);

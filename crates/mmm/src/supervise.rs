@@ -6,11 +6,12 @@
 //! degraded partition. This module makes recovery *incremental* and
 //! *budgeted*:
 //!
-//! - Workers periodically bank their C accumulators into a [`Checkpoint`]
-//!   owned by the supervisor. A bank is a copy of the worker's kernel
-//!   accumulators, 8 bytes a cell, into a buffer the worker's slot keeps
-//!   for the rest of the attempt, plus the pivot step the values are
-//!   valid **through**. The cells' positions and first steps are the
+//! - Workers bank their C accumulators into a [`Checkpoint`] owned by the
+//!   supervisor at every block boundary, where a block is the run of
+//!   pivot steps whose values travel in one message. A bank is a copy of
+//!   the worker's kernel accumulators, 8 bytes a cell, into a buffer the
+//!   worker's slot keeps for the rest of the attempt, plus the pivot step
+//!   the values are valid **through**. The cells' positions and first steps are the
 //!   kernel's layout, fixed for the attempt and shared behind an `Arc`,
 //!   so a bank never carries them. A span of cells is valid through its
 //!   own first step when that is further along, so the bank stays correct

@@ -542,6 +542,20 @@ impl NPartition {
         self.cols.bits[(p as usize * self.n + j) * self.words + w]
     }
 
+    /// Word `w` of owner `p`'s occupied-row mask: bit `b` is set iff row
+    /// `w * 64 + b` holds any cell of `p`.
+    #[inline]
+    pub fn occupied_rows_word(&self, p: u8, w: usize) -> u64 {
+        self.rows.occ_of(p as usize, self.words)[w]
+    }
+
+    /// Word `w` of owner `p`'s occupied-column mask: bit `b` is set iff
+    /// column `w * 64 + b` holds any cell of `p`.
+    #[inline]
+    pub fn occupied_cols_word(&self, p: u8, w: usize) -> u64 {
+        self.cols.occ_of(p as usize, self.words)[w]
+    }
+
     /// Which of owner `p`'s row-plane line `i` words from `w` on are
     /// nonzero, read from the summary: bit `b` is set iff word `w + b` of
     /// the line ([`NPartition::row_plane_word`]) is, for up to 64 words;
@@ -1020,6 +1034,20 @@ impl Partition {
     #[inline]
     pub fn col_plane_word(&self, proc: Proc, j: usize, w: usize) -> u64 {
         self.grid.col_plane_word(proc.q(), j, w)
+    }
+
+    /// Word `w` of `proc`'s occupied-row mask: bit `b` is set iff row
+    /// `w * 64 + b` holds any cell of `proc`.
+    #[inline]
+    pub fn occupied_rows_word(&self, proc: Proc, w: usize) -> u64 {
+        self.grid.occupied_rows_word(proc.q(), w)
+    }
+
+    /// Word `w` of `proc`'s occupied-column mask: bit `b` is set iff column
+    /// `w * 64 + b` holds any cell of `proc`.
+    #[inline]
+    pub fn occupied_cols_word(&self, proc: Proc, w: usize) -> u64 {
+        self.grid.occupied_cols_word(proc.q(), w)
     }
 
     /// The processor assigned to cell `(i, j)`: two plane-word probes.

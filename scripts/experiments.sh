@@ -7,7 +7,8 @@
 #                                   EXPERIMENTS.md or a committed image differs
 #
 # A generated block is the verbatim stdout of one command, fenced as text
-# between the lines "<!-- BEGIN <name> -->" and "<!-- END <name> -->".
+# between the lines "<!-- BEGIN <name> -->" and "<!-- END <name> -->", where
+# <name> is the binary's name.
 # Paper-scale runs stay out of these blocks; EXPERIMENTS.md names the
 # command and commit of each of those by hand.
 set -euo pipefail
@@ -20,16 +21,19 @@ case "${1:-}" in
   *) echo "usage: $0 [--check]" >&2; exit 2 ;;
 esac
 
-cargo build --release --quiet -p hetmmm-bench --bin fig5_archetype_census --bin fig7_example_run
+names="fig5_archetype_census fig7_example_run fig10_candidates thm8_reductions mmm_validate"
+cargo build --release --quiet -p hetmmm-bench $(printf -- '--bin %s ' $names)
 bin="${CARGO_TARGET_DIR:-target}/release"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # The binaries' output must not depend on the caller's observability
-# settings or results directory.
+# settings or results directory. Arguments after the name go to the binary.
 run() {
+  name=$1
+  shift
   env -u HETMMM_RESULTS -u HETMMM_OBS_JSONL -u HETMMM_OBS_FMT -u HETMMM_OBS_FINE_SPANS \
-    "$bin/$1" > "$tmp/$1.txt"
+    "$bin/$name" "$@" > "$tmp/$name.txt"
 }
 
 run fig5_archetype_census
@@ -37,9 +41,12 @@ run fig5_archetype_census
 # so a snapshot that is no longer taken does not leave its image behind.
 rm -f results/fig7_step_*.pgm
 run fig7_example_run
+run fig10_candidates --n 60 --p 5 --r 2 --s 1
+run thm8_reductions
+run mmm_validate
 
 cp EXPERIMENTS.md "$tmp/EXPERIMENTS.md"
-for name in fig5_archetype_census fig7_example_run; do
+for name in $names; do
   for marker in BEGIN END; do
     if [ "$(grep -cx "<!-- $marker $name -->" "$tmp/EXPERIMENTS.md")" != 1 ]; then
       echo "EXPERIMENTS.md: expected one '<!-- $marker $name -->' line" >&2

@@ -10,6 +10,7 @@ use hetmmm::mmm::{
     FaultPlan, Matrix, RecoveryStats,
 };
 use hetmmm::prelude::*;
+use hetmmm_integration_tests::bits;
 use hetmmm_obs::FakeClock;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,17 +21,18 @@ use std::time::Duration;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random partitions, random victim, random crash step: the executor
-    /// must return `Ok` with a correct C, one detected fault, one retry,
-    /// exactly the dead worker's cells re-assigned — and, with the
-    /// step-checkpointed resume, a replay strictly smaller than a full
-    /// restart whenever the crash lands past step zero.
+    /// Random partitions, random victim, random crash step, random block:
+    /// the executor must return `Ok` with a correct C, one detected fault,
+    /// one retry, exactly the dead worker's cells re-assigned — and, with
+    /// the checkpointed resume, a replay strictly smaller than a full
+    /// restart whenever the crash lands past the first block.
     #[test]
     fn any_single_crash_is_survivable(
         seed in 0u64..10_000,
         n in 6usize..24,
         proc_idx in 0usize..3,
         step_seed in 0usize..1_000,
+        block_idx in 0usize..5,
     ) {
         let ratio = Ratio::new(3, 2, 1);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -39,7 +41,9 @@ proptest! {
         let b = Matrix::random(n, &mut rng);
         let dead = Proc::ALL[proc_idx];
         let step = step_seed % n;
+        let block = [1, 2, 5, 16, n][block_idx];
         let config = ExecConfig::default()
+            .with_block(block)
             .with_fault_plan(FaultPlan::crash(dead, step))
             .with_recv_timeout(Duration::from_millis(500));
         let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config)
@@ -51,13 +55,14 @@ proptest! {
         prop_assert!(!stats.recovery.degraded_mode);
         // The dead worker contributes nothing to the final result.
         prop_assert_eq!(stats.per_proc[dead.idx()].updates, 0);
-        // Checkpoint cadence is 1, every receiver waits on every peer at
-        // every step, and a crash at `step` withholds that step's
-        // messages: everyone banks through exactly `step`, so the single
-        // re-attempt resumes there and replays only the tail.
-        prop_assert_eq!(stats.recovery.resumed_steps, step as u64);
-        prop_assert_eq!(stats.recovery.replayed_steps, (n - step) as u64);
-        if step > 0 {
+        // The victim last banked at the boundary of its crash step's block,
+        // and every peer banks at that boundary or the next one, so the
+        // single re-attempt resumes at the victim's bank and replays only
+        // the tail.
+        let resumed = (block * (step / block)) as u64;
+        prop_assert_eq!(stats.recovery.resumed_steps, resumed);
+        prop_assert_eq!(stats.recovery.replayed_steps, n as u64 - resumed);
+        if step >= block {
             // Strictly better than the pre-checkpoint full restart.
             prop_assert!(stats.recovery.resumed_steps > 0);
             prop_assert!(stats.recovery.replayed_steps < n as u64);
@@ -279,6 +284,7 @@ fn checkpointed_resume_beats_full_restart() {
     let a = Matrix::random(n, &mut rng);
     let b = Matrix::random(n, &mut rng);
     let config = ExecConfig::default()
+        .with_block(4)
         .with_recv_timeout(Duration::from_millis(300))
         .with_fault_plan(FaultPlan::crash(Proc::S, crash_step));
     let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
@@ -292,12 +298,76 @@ fn checkpointed_resume_beats_full_restart() {
     assert!(stats.recovery.checkpoints > 0);
 }
 
+/// A drop and a delay at a mid-block step act on the message that carries
+/// the step: the one the worker sends at the top of the step's block. The
+/// drop withholds the block's message, so the victims see the dropper's
+/// next block out of step, or, in the final block, which the dropper still
+/// finishes, its channel close; the supervisor re-runs the attempt once
+/// from the victims' banks at the block's first step (the drop fires
+/// again), then convicts the dropper. A delay under the receive timeout
+/// holds the block's message back and leaves no recovery trace.
+#[test]
+fn mid_block_drop_and_delay_act_on_their_blocks_message() {
+    let n = 12;
+    let mut rng = StdRng::seed_from_u64(1003);
+    let part = random_partition(n, Ratio::new(3, 2, 1), &mut rng);
+    let a = Matrix::random(n, &mut rng);
+    let b = Matrix::random(n, &mut rng);
+    let reference = bits(&kij_serial(&a, &b));
+    // Steps 5 and 9 lie inside the second and the last of three blocks of
+    // 4 steps.
+    let config = |fault: FaultKind| {
+        ExecConfig::default()
+            .with_block(4)
+            .with_recv_timeout(Duration::from_millis(300))
+            .with_retry_attempts(1)
+            .with_backoff(Duration::from_millis(20), Duration::from_millis(40))
+            .with_fault_plan(FaultPlan::new().with_fault(Proc::S, fault))
+    };
+
+    for step in [5, 9] {
+        let dropped = config(FaultKind::DropMessageAt { step });
+        let (c, stats) = multiply_partitioned_with(&a, &b, &part, &dropped).unwrap();
+        assert!(bits(&c) == reference, "drop at {step}: C differs");
+        let r = stats.recovery;
+        assert_eq!(r.attempt_retries, 1, "drop at {step}");
+        assert_eq!(r.faults_detected, 1, "drop at {step}");
+        assert_eq!(r.elems_reassigned, part.elems(Proc::S) as u64);
+        assert_eq!(
+            stats.per_proc[Proc::S.idx()],
+            hetmmm::mmm::ProcExec::default()
+        );
+        assert!(!r.degraded_mode, "drop at {step}");
+        // Both re-attempts resume at the block's first step, where the
+        // victims banked.
+        let first = 4 * (step / 4) as u64;
+        assert_eq!(
+            (r.resumed_steps, r.replayed_steps),
+            (2 * first, 2 * (n as u64 - first)),
+            "drop at {step}"
+        );
+    }
+
+    let delayed = config(FaultKind::DelaySendAt {
+        step: 5,
+        millis: 30,
+    });
+    let (c, stats) = multiply_partitioned_with(&a, &b, &part, &delayed).unwrap();
+    assert!(bits(&c) == reference, "delay: C differs");
+    // Only the banks at steps 4 and 8 of each worker remain.
+    let banks_only = RecoveryStats {
+        checkpoints: 6,
+        ..RecoveryStats::default()
+    };
+    assert_eq!(stats.recovery, banks_only);
+}
+
 /// Every single crash of a small seeded set of multiplies, checked
-/// exactly: each victim at each pivot step, banking every step and every
-/// third, on the six 5:2:1 candidates and a random 5:2:1 partition. A
-/// crash confesses and its peers see a disconnect at once, so no receive
-/// times out and every recovery counter summed here is a function of the
-/// plan alone. C must equal `kij_serial` bit for bit: a resumed cell
+/// exactly: each victim at each pivot step, in blocks of one step and of
+/// three, on the six 5:2:1 candidates and a random 5:2:1 partition. A
+/// crash confesses and its peers see a disconnect at their next exchange,
+/// so no receive times out and every recovery counter summed here is a
+/// function of the plan alone. C must equal `kij_serial` bit for bit: a resumed cell
 /// folds its banked partial and then the missing products in ascending
 /// `k`, exactly as the serial loop does.
 #[test]
@@ -313,26 +383,21 @@ fn every_single_crash_recovers_the_exact_product() {
         .collect();
     parts.push(random_partition(n, ratio, &mut rng));
     assert_eq!(parts.len(), 7);
-    let reference: Vec<u64> = {
-        let c = kij_serial(&a, &b);
-        (0..n * n).map(|x| c.get(x / n, x % n).to_bits()).collect()
-    };
+    let reference = bits(&kij_serial(&a, &b));
     let mut total = RecoveryStats::default();
     let (mut updates, mut runs, mut degraded) = (0u64, 0u64, 0u64);
     for part in &parts {
         for dead in Proc::ALL {
             for step in 0..n {
-                for every in [1, 3] {
+                for block in [1, 3] {
                     let config = ExecConfig::default()
-                        .with_checkpoint_every(every)
+                        .with_block(block)
                         .with_fault_plan(FaultPlan::crash(dead, step));
                     let (c, stats) = multiply_partitioned_with(&a, &b, part, &config)
                         .expect("a single crash must be survivable");
-                    let bits: Vec<u64> =
-                        (0..n * n).map(|x| c.get(x / n, x % n).to_bits()).collect();
                     assert!(
-                        bits == reference,
-                        "{dead} crashed at step {step}, banking every {every}: C differs"
+                        bits(&c) == reference,
+                        "{dead} crashed at step {step}, in blocks of {block}: C differs"
                     );
                     let r = stats.recovery;
                     total.checkpoints += r.checkpoints;
@@ -349,7 +414,7 @@ fn every_single_crash_recovers_the_exact_product() {
         }
     }
     assert_eq!(runs, 1_008);
-    assert_eq!(total.checkpoints, 39_816);
+    assert_eq!(total.checkpoints, 40_320);
     assert_eq!(total.resumed_steps, 11_088);
     assert_eq!(total.replayed_steps, 13_104);
     assert_eq!(total.elems_reassigned, 193_536);

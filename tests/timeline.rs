@@ -91,8 +91,10 @@ fn executor_segments_reconstruct_per_worker_timelines() {
     // Real monotonic clock: segments carry genuine durations, so the
     // timeline's attribution invariants are exercised with advancing time.
     // The empty fault plan arms checkpointing (clean runs skip it) without
-    // injecting any fault.
-    let config = ExecConfig::default().with_fault_plan(FaultPlan::new());
+    // injecting any fault; blocks of 4 of the 12 steps bank twice.
+    let config = ExecConfig::default()
+        .with_block(4)
+        .with_fault_plan(FaultPlan::new());
     let records = capture_run(12, &config);
     reset_obs();
 
@@ -115,7 +117,7 @@ fn executor_segments_reconstruct_per_worker_timelines() {
             s.overlap_fraction
         );
     }
-    // Every worker talks to both peers at every step: send and recv-wait
+    // Every worker talks to both peers at every block: send and recv-wait
     // segments must be present and peer-directed.
     let mut kinds: Vec<&str> = tl.segments.iter().map(|s| s.kind.as_str()).collect();
     kinds.sort_unstable();

@@ -72,6 +72,12 @@ impl Matrix {
         self.data[i * self.n + j] = v;
     }
 
+    /// Row `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
     /// Add `v` to element `(i, j)`.
     #[inline]
     pub fn add(&mut self, i: usize, j: usize, v: f64) {

@@ -12,7 +12,8 @@
 //! block. The worker then updates its C cells with one call to its kernel
 //! (`crate::kernel`) per step, in ascending `k`, so C is bit-identical at
 //! every block. The kernel is built per attempt from the partition and
-//! the checkpointed cell state.
+//! the checkpointed cell state; on a resumed attempt it walks whole row
+//! runs from the step where its lagging cells catch up.
 //!
 //! ## Failure model
 //!
@@ -41,9 +42,9 @@
 //!    replay only their missing contributions.
 //! 4. **Graceful degrade.** When survivors drop to one, the retry budget
 //!    runs out, or the [`ExecConfig::recovery_deadline`] passes, the
-//!    supervisor finishes the remaining pivot steps serially (kij on the
-//!    checkpointed partials) and returns `Ok` with
-//!    [`RecoveryStats::degraded_mode`] set instead of erroring.
+//!    supervisor finishes the remaining pivot steps serially (one kernel
+//!    over every cell, seeded with the checkpointed partials) and returns
+//!    `Ok` with [`RecoveryStats::degraded_mode`] set instead of erroring.
 //!
 //! Failures are scripted deterministically through [`FaultPlan`] for
 //! testing; recovery activity is reported in [`RecoveryStats`].
@@ -1061,7 +1062,10 @@ impl Supervisor {
 
     /// Graceful degrade: finish every incomplete cell serially from the
     /// checkpointed partials, attribute the tail to the fastest survivor
-    /// (if any survives), and return `Ok` in degraded mode.
+    /// (if any survives), and return `Ok` in degraded mode. The tail is one
+    /// kernel over every cell, stepped from the resume point in ascending
+    /// `k` as a worker steps its own, so each cell adds exactly the
+    /// products it still needs.
     fn finish_degraded(
         mut self,
         a: &Matrix,
@@ -1072,17 +1076,16 @@ impl Supervisor {
     ) -> (Matrix, ExecStats) {
         let n = part.n();
         let resume = self.state.resume_step();
+        let mut tail = Kernel::new(&Partition::new(n, Proc::P), Proc::P, &self.state);
+        let mut a_col = vec![0.0; n];
         let mut tail_updates = 0u64;
-        for i in 0..n {
-            for j in 0..n {
-                let idx = i * n + j;
-                for k in self.state.next_k[idx] as usize..n {
-                    self.state.c[idx] += a.get(i, k) * b.get(k, j);
-                    tail_updates += 1;
-                }
-                self.state.next_k[idx] = n as u32;
+        for k in resume..n {
+            for (i, v) in a_col.iter_mut().enumerate() {
+                *v = a.get(i, k);
             }
+            tail_updates += tail.step(k, &a_col, b.row(k));
         }
+        self.state.absorb(&tail.into_bank(n as u32));
         // The fastest survivor (by owned elements, ties to the lower
         // index) is the node the serial tail models running on.
         if let Some(s) = fallback_survivor(part, active) {

@@ -11,18 +11,22 @@
 //!   pivot steps whose values travel in one message. A bank is a copy of
 //!   the worker's kernel accumulators, 8 bytes a cell, into a buffer the
 //!   worker's slot keeps for the rest of the attempt, plus the pivot step
-//!   the values are valid **through**. The cells' positions and first steps are the
-//!   kernel's layout, fixed for the attempt and shared behind an `Arc`,
-//!   so a bank never carries them. A span of cells is valid through its
-//!   own first step when that is further along, so the bank stays correct
-//!   even when a worker's cells start at different resume points
-//!   (re-assigned cells lag the worker's original ones).
+//!   the values are valid **through**. The cells' positions and first
+//!   steps are the kernel's first-step spans, fixed for the attempt and
+//!   shared behind an `Arc`, so a bank never carries them. A span of cells
+//!   is valid through its own first step when that is further along, so
+//!   the bank stays correct even when a worker's cells start at different
+//!   resume points (re-assigned cells lag the worker's original ones).
 //! - The supervisor reads each bank back through its layout and folds it
 //!   into a [`CellState`] — one `(partial value, next pivot step)` pair
 //!   per C cell. A re-attempt starts at [`CellState::resume_step`] (the
 //!   least-advanced cell) and each worker applies a step to a cell only if
 //!   that cell still needs it, so re-assigned cells replay exactly the
-//!   missing contributions.
+//!   missing contributions. The kernels read their first steps from the
+//!   state; a kernel whose cells start at more than one step walks its
+//!   rows whole from the highest of them on (`crate::kernel`). The
+//!   degraded serial tail is one such kernel over every cell, stepped from
+//!   the resume point, whose final bank the state absorbs.
 //! - [`BackoffPolicy`] computes the bounded exponential waits used both
 //!   by workers re-arming a timed-out receive and by the supervisor
 //!   between attempts, all through the installed clock so a

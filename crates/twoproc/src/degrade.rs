@@ -83,16 +83,18 @@ pub fn degrade_partition(part: &Partition, dead: Proc) -> DegradeOutcome {
 
     if shape == TwoProcShape::SquareCorner && slow_take > 0 {
         // Pack the slow share against the bottom-right corner of the dead
-        // region's bounding box: sort by Chebyshev distance to that corner
-        // so the selected prefix forms (approximately) a square block.
+        // region's bounding box: the cells nearest that corner by
+        // Chebyshev distance form (approximately) a square block. The key
+        // is a total order, so selecting the `slow_take` smallest gives the
+        // same cells as sorting them all. The fast survivor owns cells
+        // (`fast_w > 3 * slow_w`), so `slow_take < reassigned`.
         let corner_i = dead_cells.iter().map(|&(i, _)| i).max().unwrap_or(0);
         let corner_j = dead_cells.iter().map(|&(_, j)| j).max().unwrap_or(0);
-        dead_cells.sort_by_key(|&(i, j)| {
+        dead_cells.select_nth_unstable_by_key(slow_take, |&(i, j)| {
             let di = corner_i.abs_diff(i);
             let dj = corner_j.abs_diff(j);
             (di.max(dj), di + dj, i, j)
         });
-        // Slow takes the nearest-to-corner prefix.
         let mut partition = part.clone();
         for (idx, &(i, j)) in dead_cells.iter().enumerate() {
             partition.set(i, j, if idx < slow_take { slow } else { fast });
@@ -259,6 +261,71 @@ mod tests {
             Some(Proc::R)
         );
         assert_eq!(fallback_survivor(&part, &[]), None);
+    }
+
+    /// The degrade as first written, kept as the reference: the slow
+    /// survivor's Square-Corner share is the prefix of every dead cell
+    /// sorted by the key.
+    fn sorted_reference(part: &Partition, dead: Proc) -> Partition {
+        let [a, b] = dead.others();
+        let (fast, slow) = if part.elems(a) >= part.elems(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let (fast_w, slow_w) = (part.elems(fast), part.elems(slow));
+        let mut dead_cells: Vec<(usize, usize)> = part.cells_of(dead).collect();
+        let slow_take = (dead_cells.len() * slow_w)
+            .checked_div(fast_w + slow_w)
+            .unwrap_or(dead_cells.len() / 2);
+        let mut partition = part.clone();
+        if fast_w > 3 * slow_w && slow_take > 0 {
+            let corner_i = dead_cells.iter().map(|&(i, _)| i).max().unwrap_or(0);
+            let corner_j = dead_cells.iter().map(|&(_, j)| j).max().unwrap_or(0);
+            dead_cells.sort_by_key(|&(i, j)| {
+                let di = corner_i.abs_diff(i);
+                let dj = corner_j.abs_diff(j);
+                (di.max(dj), di + dj, i, j)
+            });
+            for (idx, &(i, j)) in dead_cells.iter().enumerate() {
+                partition.set(i, j, if idx < slow_take { slow } else { fast });
+            }
+        } else {
+            let fast_take = dead_cells.len() - slow_take;
+            for (idx, &(i, j)) in dead_cells.iter().enumerate() {
+                partition.set(i, j, if idx < fast_take { fast } else { slow });
+            }
+        }
+        partition
+    }
+
+    #[test]
+    fn selecting_the_slow_share_matches_sorting_every_dead_cell() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(27);
+        let (mut cases, mut square_corner) = (0, 0);
+        for n in [7, 64, 65, 130] {
+            for ratio in Ratio::paper_ratios() {
+                let mut parts: Vec<Partition> = hetmmm_shapes::candidates::all_feasible(n, ratio)
+                    .into_iter()
+                    .map(|c| c.partition)
+                    .collect();
+                parts.push(hetmmm_partition::random_partition(n, ratio, &mut rng));
+                for part in &parts {
+                    for dead in Proc::ALL {
+                        let out = degrade_partition(part, dead);
+                        assert!(
+                            out.partition == sorted_reference(part, dead),
+                            "N = {n}, {ratio:?}, {dead} dead: partitions differ"
+                        );
+                        cases += 1;
+                        square_corner += usize::from(out.shape == TwoProcShape::SquareCorner);
+                    }
+                }
+            }
+        }
+        assert_eq!((cases, square_corner), (900, 334));
     }
 
     #[test]

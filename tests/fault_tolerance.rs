@@ -423,3 +423,53 @@ fn every_single_crash_recovers_the_exact_product() {
     assert_eq!(total.retries, 1_008);
     assert_eq!(degraded, 0);
 }
+
+/// Two crashes on distinct workers, at varied steps and blocks: the
+/// second conviction leaves one survivor, so the supervisor finishes the
+/// multiply serially from the banks (or, when the second victim's step
+/// lies before the resume point, the two survivors finish it). Either
+/// way C must equal `kij_serial` bit for bit: the serial tail adds each
+/// cell's missing products in ascending `k`, as the workers do.
+#[test]
+fn two_crashes_end_with_the_exact_product() {
+    let n = 24;
+    let ratio = Ratio::new(5, 2, 1);
+    let mut rng = StdRng::seed_from_u64(27);
+    let a = Matrix::random(n, &mut rng);
+    let b = Matrix::random(n, &mut rng);
+    let square_corner = hetmmm::shapes::candidates::all_feasible(n, ratio)
+        .into_iter()
+        .find(|c| c.ty == hetmmm::shapes::candidates::CandidateType::SquareCorner)
+        .expect("Square-Corner is feasible at 5:2:1")
+        .partition;
+    let parts = [random_partition(n, ratio, &mut rng), square_corner];
+    let reference = bits(&kij_serial(&a, &b));
+    let (mut runs, mut degraded) = (0, 0);
+    for part in &parts {
+        for first in Proc::ALL {
+            for second in Proc::ALL.into_iter().filter(|&p| p != first) {
+                for (s1, s2) in [(3, 0), (3, 10), (3, 23), (17, 0), (17, 10), (17, 23)] {
+                    for block in [1, 4, 16] {
+                        let plan = FaultPlan::new()
+                            .with_fault(first, FaultKind::CrashAt { step: s1 })
+                            .with_fault(second, FaultKind::CrashAt { step: s2 });
+                        let config = ExecConfig::default()
+                            .with_block(block)
+                            .with_recv_timeout(Duration::from_millis(300))
+                            .with_fault_plan(plan);
+                        let (c, stats) = multiply_partitioned_with(&a, &b, part, &config)
+                            .expect("two crashes must end in Ok");
+                        assert!(
+                            bits(&c) == reference,
+                            "{first} at {s1}, {second} at {s2}, in blocks of {block}: C differs"
+                        );
+                        degraded += u32::from(stats.recovery.degraded_mode);
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 216);
+    assert!(degraded > 0, "no run reached the serial tail");
+}

@@ -14,8 +14,9 @@
 //! With `--hb`, additionally replays the stream through the
 //! happens-before protocol checker (`hetmmm_report::hb`): vector clocks per
 //! worker, send/recv matching per attempt window, checkpoint
-//! monotonicity, and blame-after-retry-budget discipline (rules
-//! H001–H004). Optionally validates a manifest JSONL
+//! monotonicity, blame-after-retry-budget discipline, no replay below the
+//! resume step, and at most two unreceived messages per channel (rules
+//! H001–H005). Optionally validates a manifest JSONL
 //! (`results/manifests.jsonl`) the same way. CI runs this after a small
 //! `fig5_archetype_census` run and after the chaos harness to guard both
 //! the wire format and the recovery protocol.
@@ -40,9 +41,9 @@ use std::process::ExitCode;
 const EXIT_NOTHING_PARSED: u8 = 3;
 
 /// Timeline vocabulary an `ExecSegment.kind` may use (schema v4).
-const SEGMENT_KINDS: [&str; 5] = ["compute", "send", "recv-wait", "checkpoint", "blocked"];
+const SEGMENT_KINDS: [&str; 4] = ["compute", "send", "recv-wait", "checkpoint"];
 /// The subset of [`SEGMENT_KINDS`] that must carry a non-empty `peer`.
-const PEER_KINDS: [&str; 3] = ["send", "recv-wait", "blocked"];
+const PEER_KINDS: [&str; 2] = ["send", "recv-wait"];
 
 /// What a lenient event scan produced.
 struct EventsReport {

@@ -76,7 +76,7 @@ pub enum HetmmmError {
         voc_final: u64,
     },
     /// An execution/config knob holds a value that can only hang or wedge
-    /// the run (e.g. a zero receive timeout or zero channel capacity).
+    /// the run (e.g. a zero receive timeout or a zero block).
     /// Surfaced eagerly at entry instead of deadlocking later.
     InvalidConfig {
         /// The offending field, e.g. `"recv_timeout"`.
@@ -155,10 +155,10 @@ mod tests {
     #[test]
     fn invalid_config_names_the_field() {
         let e = HetmmmError::InvalidConfig {
-            field: "channel_capacity".into(),
-            detail: "must be nonzero (a zero-capacity channel deadlocks)".into(),
+            field: "recv_timeout".into(),
+            detail: "must be nonzero (a zero timeout convicts every peer instantly)".into(),
         };
-        assert!(e.to_string().contains("channel_capacity"));
+        assert!(e.to_string().contains("recv_timeout"));
         let back: HetmmmError = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
         assert_eq!(back, e);
     }

@@ -13,7 +13,7 @@
 //!
 //! [`parallel::multiply_partitioned`] runs one OS thread per processor.
 //! Each worker **reads only the matrix elements its partition assigns to
-//! it, through its planes**; pivot values travel through bounded channels,
+//! it, through its planes**; pivot values travel through channels,
 //! one message per peer per block of [`parallel::ExecConfig::block`] pivot
 //! steps, so the communication the cost models count actually happens (and
 //! is counted by the executor's [`parallel::ExecStats`]). The result is
@@ -37,7 +37,7 @@
 //! re-attempts resume
 //! instead of restarting, convictions re-assign the dead processor's C
 //! cells onto the survivors with [`hetmmm_twoproc::degrade_partition`],
-//! and when survivors, retries, or the recovery deadline run out the
+//! and when survivors or the recovery deadline run out the
 //! supervisor finishes the tail serially and reports
 //! [`parallel::RecoveryStats::degraded_mode`] instead of erroring — see
 //! DESIGN.md's "Failure model".

@@ -17,10 +17,13 @@
 //!
 //! ## Failure model
 //!
-//! Messages travel through *bounded* channels and every receive carries a
-//! timeout, so a worker that crashes (channel disconnect) or stops sending
-//! (receive timeout) is detected rather than deadlocking the run. Recovery
-//! is layered (see DESIGN.md §7):
+//! Messages travel through one channel per ordered worker pair, and every
+//! receive carries a timeout, so a worker that crashes (channel
+//! disconnect) or stops sending (receive timeout) is detected rather than
+//! deadlocking the run. The channels are unbounded and a send never waits:
+//! a worker sends a peer its message for a block only after receiving that
+//! peer's message for the block before, so no channel holds more than two
+//! messages. Recovery is layered (see DESIGN.md §7):
 //!
 //! 1. **Receive re-wait.** A timed-out receive is re-armed with bounded
 //!    exponential backoff ([`ExecConfig::retry_attempts`] slices of
@@ -40,11 +43,11 @@
 //!    (Straight-Line below a 3:1 survivor ratio, Square-Corner above),
 //!    and the multiply *resumes* from the checkpoint — re-assigned cells
 //!    replay only their missing contributions.
-//! 4. **Graceful degrade.** When survivors drop to one, the retry budget
-//!    runs out, or the [`ExecConfig::recovery_deadline`] passes, the
-//!    supervisor finishes the remaining pivot steps serially (one kernel
-//!    over every cell, seeded with the checkpointed partials) and returns
-//!    `Ok` with [`RecoveryStats::degraded_mode`] set instead of erroring.
+//! 4. **Graceful degrade.** When survivors drop to one or the
+//!    [`ExecConfig::recovery_deadline`] passes, the supervisor finishes
+//!    the remaining pivot steps serially (one kernel over every cell,
+//!    seeded with the checkpointed partials) and returns `Ok` with
+//!    [`RecoveryStats::degraded_mode`] set instead of erroring.
 //!
 //! Failures are scripted deterministically through [`FaultPlan`] for
 //! testing; recovery activity is reported in [`RecoveryStats`].
@@ -60,7 +63,7 @@ use hetmmm_partition::{Partition, Proc};
 use hetmmm_twoproc::{degrade_partition, fallback_survivor};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,7 +101,9 @@ pub struct RecoveryStats {
     pub faults_detected: u64,
     /// C elements whose owner changed during survivor re-partitioning.
     pub elems_reassigned: u64,
-    /// Times the multiply was restarted on a degraded partition.
+    /// Convictions acted on: each restarts the multiply on a degraded
+    /// partition or, with fewer than two survivors left, finishes it
+    /// serially. Always equal to `faults_detected`.
     pub retries: u64,
     /// Worker-level receive re-waits (transient absorption, layer 1).
     pub recv_retries: u64,
@@ -170,18 +175,10 @@ impl ExecStats {
 /// Tunables of the threaded executor.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
-    /// Capacity (in messages) of each worker-to-worker channel. Small and
-    /// bounded: a healthy run stays in lockstep, so a handful of blocks of
-    /// slack is plenty, and a dead receiver can only absorb this much
-    /// before its peers notice. Must be nonzero ([`ExecConfig::validate`]).
-    pub channel_capacity: usize,
-    /// Base wait of a single receive (and of a stalled send) before the
-    /// retry/backoff ladder starts. Must be nonzero.
+    /// Base wait of a single receive before the retry/backoff ladder
+    /// starts. Sends never wait. Must be nonzero
+    /// ([`ExecConfig::validate`]).
     pub recv_timeout: Duration,
-    /// Convictions (restarts on a degraded partition) before the
-    /// supervisor stops re-partitioning and finishes serially in degraded
-    /// mode. The default allows the full chain three → two → one worker.
-    pub max_retries: u64,
     /// Retry budget used at *both* recovery layers: how many extra
     /// backoff slices a worker grants a silent peer before declaring it
     /// lost, and how many inconclusive attempts the supervisor re-runs
@@ -203,7 +200,7 @@ pub struct ExecConfig {
     /// Scripted faults for deterministic testing. `None` (the default)
     /// injects nothing and costs nothing on the hot path.
     pub fault_plan: Option<FaultPlan>,
-    /// Time source for send deadlines, receive-wait measurement, the
+    /// Time source for timeline segments, receive-wait measurement, the
     /// recovery deadline, and supervisor backoff sleeps. Tests inject a
     /// [`hetmmm_obs::FakeClock`] for deterministic timings (its `sleep`
     /// advances instantly); the default is the shared monotonic clock.
@@ -213,9 +210,7 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> ExecConfig {
         ExecConfig {
-            channel_capacity: 4,
             recv_timeout: Duration::from_secs(1),
-            max_retries: 3,
             retry_attempts: 2,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_millis(200),
@@ -237,12 +232,6 @@ impl ExecConfig {
     /// Builder-style: set the base peer-loss detection timeout.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> ExecConfig {
         self.recv_timeout = timeout;
-        self
-    }
-
-    /// Builder-style: set the per-channel message capacity.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> ExecConfig {
-        self.channel_capacity = capacity;
         self
     }
 
@@ -283,11 +272,9 @@ impl ExecConfig {
     /// Reject configurations that can only hang or wedge the executor.
     ///
     /// A zero receive timeout never fires `recv_timeout` meaningfully, a
-    /// zero-capacity channel turns every send into a rendezvous that
-    /// deadlocks the lockstep protocol, a zero block is a
-    /// division-by-zero wearing a trench coat, and a cap below the base
-    /// makes the backoff ladder non-monotone. All are misuse, surfaced
-    /// eagerly as [`HetmmmError::InvalidConfig`].
+    /// zero block is a division-by-zero wearing a trench coat, and a cap
+    /// below the base makes the backoff ladder non-monotone. All are
+    /// misuse, surfaced eagerly as [`HetmmmError::InvalidConfig`].
     pub fn validate(&self) -> Result<(), HetmmmError> {
         let invalid = |field: &str, detail: &str| {
             Err(HetmmmError::InvalidConfig {
@@ -295,12 +282,6 @@ impl ExecConfig {
                 detail: detail.to_string(),
             })
         };
-        if self.channel_capacity == 0 {
-            return invalid(
-                "channel_capacity",
-                "must be nonzero (a zero-capacity channel deadlocks the lockstep protocol)",
-            );
-        }
         if self.recv_timeout.is_zero() {
             return invalid(
                 "recv_timeout",
@@ -326,8 +307,8 @@ impl ExecConfig {
     }
 
     /// Worst-case wait of one receive: the base timeout plus every backoff
-    /// slice. Senders use the same patience, and injected stalls park
-    /// beyond it so every peer's budget provably runs out.
+    /// slice. Injected stalls park beyond it so every peer's budget
+    /// provably runs out.
     fn receive_budget(&self) -> Duration {
         self.recv_timeout + self.backoff().total_extra()
     }
@@ -365,8 +346,6 @@ enum Verdict {
 enum Loss {
     /// The peer's channel closed, on a send or a receive.
     Disconnected,
-    /// The peer's channel stayed full past the send patience.
-    SendTimedOut,
     /// Nothing arrived within the receive budget, retries included.
     RecvTimedOut,
     /// A message of another block, or with a value count the partition
@@ -380,48 +359,8 @@ impl Loss {
     fn describe(self) -> (&'static str, u32) {
         match self {
             Loss::Disconnected => ("channel disconnected", 1),
-            Loss::SendTimedOut => ("send timed out (peer stalled)", 3),
             Loss::RecvTimedOut => ("receive timed out", 3),
             Loss::OutOfStep => ("out-of-step message (lost message upstream)", 10),
-        }
-    }
-}
-
-/// `try_send` with a deadline: a full channel is retried until `timeout`
-/// elapses, so a stalled (but connected) receiver is eventually treated as
-/// lost instead of blocking the sender forever.
-///
-/// On success returns the full-channel wait interval `(start, end)` on the
-/// clock axis, or `None` when the first `try_send` went through — the
-/// caller turns it into a `blocked` timeline segment. The fast path pays
-/// no extra clock reads.
-fn send_with_deadline(
-    tx: &SyncSender<BlockMessage>,
-    mut msg: BlockMessage,
-    timeout: Duration,
-    clock: &dyn Clock,
-) -> Result<Option<(u64, u64)>, Loss> {
-    let deadline = clock
-        .now_nanos()
-        .saturating_add(timeout.as_nanos().min(u64::MAX as u128) as u64);
-    let mut blocked_since: Option<u64> = None;
-    loop {
-        match tx.try_send(msg) {
-            Ok(()) => return Ok(blocked_since.map(|since| (since, clock.now_nanos()))),
-            Err(TrySendError::Disconnected(_)) => return Err(Loss::Disconnected),
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "bounded backoff while a real channel is full"
-            )]
-            Err(TrySendError::Full(m)) => {
-                let now = clock.now_nanos();
-                if now >= deadline {
-                    return Err(Loss::SendTimedOut);
-                }
-                blocked_since.get_or_insert(now);
-                msg = m;
-                std::thread::sleep(Duration::from_micros(200));
-            }
         }
     }
 }
@@ -443,7 +382,7 @@ struct Worker<'a> {
     /// each applying only the steps its cell still needs.
     kernel: Kernel,
     /// Outgoing channels to the other active workers.
-    out: Vec<(Proc, SyncSender<BlockMessage>)>,
+    out: Vec<(Proc, Sender<BlockMessage>)>,
     /// Incoming channels from the other active workers.
     inbox: Vec<(Proc, Receiver<BlockMessage>)>,
     /// This worker's scripted faults (empty outside injection tests).
@@ -452,13 +391,12 @@ struct Worker<'a> {
     timeout: Duration,
     /// Receive re-wait backoff policy.
     retry: BackoffPolicy,
-    /// Send patience and stall park duration (derived from the budget).
-    send_patience: Duration,
+    /// How long an injected stall parks: past every peer's receive budget.
     park: Duration,
     /// Supervisor-held checkpoint to bank progress into (present iff a
     /// fault plan is installed — the clean hot path never pays for it).
     checkpoint: Option<Arc<Checkpoint>>,
-    /// Time source for send deadlines and receive-wait measurement.
+    /// Time source for segments and receive-wait measurement.
     clock: Arc<dyn Clock>,
 }
 
@@ -611,30 +549,26 @@ impl Worker<'_> {
             to.walk(steps.clone(), |p| values.push(p.read(self.a, self.b)));
             let payload = values.len() as u64;
             let send_start = if seg { self.clock.now_nanos() } else { 0 };
-            match send_with_deadline(tx, (k0, values), self.send_patience, &*self.clock) {
-                Ok(blocked) => {
-                    stats.elems_sent += payload;
-                    if payload > 0 {
-                        stats.messages += 1;
-                    }
-                    if seg {
-                        let send_end = self.clock.now_nanos();
-                        let peer_name = peer.to_string();
-                        if let Some((b0, b1)) = blocked {
-                            self.segment("blocked", &peer_name, k0, b0, b1);
-                        }
-                        self.segment("send", &peer_name, k0, send_start, send_end);
-                        if payload > 0 {
-                            obs::emit(obs::EventKind::ExecSend {
-                                from: self.proc.to_string(),
-                                to: peer_name,
-                                step: k0 as u64,
-                                elems: payload,
-                            });
-                        }
-                    }
+            // The only send error is a receiver that is gone.
+            if tx.send((k0, values)).is_err() {
+                return Err(self.peer_lost(*stats, *peer, k0, Loss::Disconnected));
+            }
+            stats.elems_sent += payload;
+            if payload > 0 {
+                stats.messages += 1;
+            }
+            if seg {
+                let send_end = self.clock.now_nanos();
+                let peer_name = peer.to_string();
+                self.segment("send", &peer_name, k0, send_start, send_end);
+                if payload > 0 {
+                    obs::emit(obs::EventKind::ExecSend {
+                        from: self.proc.to_string(),
+                        to: peer_name,
+                        step: k0 as u64,
+                        elems: payload,
+                    });
                 }
-                Err(loss) => return Err(self.peer_lost(*stats, *peer, k0, loss)),
             }
         }
         block.start(k0);
@@ -749,13 +683,14 @@ fn run_attempt(
 ) -> Attempt {
     let config = ctx.config;
 
-    // Bounded channels between each ordered pair of active workers; each
-    // worker lists its peers in processor order.
-    let mut out: [Vec<(Proc, SyncSender<BlockMessage>)>; 3] = Default::default();
+    // One channel per ordered pair of active workers; each worker lists
+    // its peers in processor order. Lockstep keeps at most two messages in
+    // any channel, so none needs a bound.
+    let mut out: [Vec<(Proc, Sender<BlockMessage>)>; 3] = Default::default();
     let mut inbox: [Vec<(Proc, Receiver<BlockMessage>)>; 3] = Default::default();
     for &x in active {
         for &y in active.iter().filter(|&&y| y != x) {
-            let (tx, rx) = sync_channel(config.channel_capacity);
+            let (tx, rx) = channel();
             out[x.idx()].push((y, tx));
             inbox[y.idx()].push((x, rx));
         }
@@ -783,7 +718,6 @@ fn run_attempt(
             faults,
             timeout: config.recv_timeout,
             retry: config.backoff(),
-            send_patience: budget,
             park: budget * 2 + Duration::from_millis(50),
             checkpoint: ctx.checkpoint.cloned(),
             clock: Arc::clone(&config.clock),
@@ -930,8 +864,8 @@ fn run_attempt(
 }
 
 /// Multiply `A x B` with ownership given by `part`, one thread per
-/// processor, pivot values exchanged in blocks through bounded channels. Returns the
-/// assembled C and the executor statistics.
+/// processor, pivot values exchanged in blocks through channels. Returns
+/// the assembled C and the executor statistics.
 ///
 /// Fails with [`HetmmmError::DimensionMismatch`] if the matrices and
 /// partition disagree on `n`. Worker failures never fail the call: they
@@ -1107,8 +1041,8 @@ impl Supervisor {
 }
 
 /// [`multiply_partitioned`] with explicit executor configuration —
-/// channel capacity, timeouts, retry/backoff budgets, the block,
-/// recovery deadline, and (for tests) a deterministic [`FaultPlan`].
+/// timeouts, retry/backoff budgets, the block, recovery deadline, and (for
+/// tests) a deterministic [`FaultPlan`].
 ///
 /// Rejects wedge-prone configurations with
 /// [`HetmmmError::InvalidConfig`] (see [`ExecConfig::validate`]). On
@@ -1223,9 +1157,6 @@ pub fn multiply_partitioned_with(
                 sup.recovery.faults_detected += 1;
                 sup.per_proc[dead.idx()] = ProcExec::default();
                 active.retain(|&p| p != dead);
-                if sup.recovery.retries >= config.max_retries {
-                    return Ok(sup.finish_degraded(a, b, &current, &active, "retry-budget"));
-                }
                 sup.recovery.retries += 1;
                 if active.len() < 2 {
                     return Ok(sup.finish_degraded(a, b, &current, &active, "sole-survivor"));
@@ -1271,18 +1202,12 @@ mod tests {
 
     #[test]
     fn loss_kinds_pin_their_text_and_blame_weight() {
-        let described = [
-            Loss::Disconnected,
-            Loss::SendTimedOut,
-            Loss::RecvTimedOut,
-            Loss::OutOfStep,
-        ]
-        .map(Loss::describe);
+        let described =
+            [Loss::Disconnected, Loss::RecvTimedOut, Loss::OutOfStep].map(Loss::describe);
         assert_eq!(
             described,
             [
                 ("channel disconnected", 1),
-                ("send timed out (peer stalled)", 3),
                 ("receive timed out", 3),
                 ("out-of-step message (lost message upstream)", 10),
             ]
@@ -1358,10 +1283,6 @@ mod tests {
         let (a, b) = random_matrices(4, 14);
         let part = Partition::new(4, Proc::P);
         let cases = [
-            (
-                ExecConfig::default().with_channel_capacity(0),
-                "channel_capacity",
-            ),
             (
                 ExecConfig::default().with_recv_timeout(Duration::ZERO),
                 "recv_timeout",
@@ -1714,23 +1635,6 @@ mod tests {
         assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
         assert!(stats.recovery.degraded_mode);
         assert_eq!(stats.recovery.faults_detected, 2);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_degrades_to_serial() {
-        let n = 9;
-        let (a, b) = random_matrices(n, 37);
-        let part = three_way(n);
-        let plan = FaultPlan::new()
-            .with_fault(Proc::R, FaultKind::CrashAt { step: 0 })
-            .with_fault(Proc::S, FaultKind::CrashAt { step: 1 });
-        let mut config = fast_config().with_fault_plan(plan);
-        config.max_retries = 1;
-        let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
-        assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
-        assert!(stats.recovery.degraded_mode);
-        assert_eq!(stats.recovery.faults_detected, 2);
-        assert_eq!(stats.recovery.retries, 1);
     }
 
     #[test]

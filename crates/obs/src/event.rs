@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// v4: timeline vocabulary — `ExecSegment` attributes one contiguous slice
 /// of a worker's wall time to a phase (`compute` / `send` / `recv-wait` /
-/// `checkpoint` / `blocked`), carrying clock-axis start/end so the
+/// `checkpoint`), carrying clock-axis start/end so the
 /// `hetmmm-report` timeline module can reconstruct per-processor
 /// timelines, export Chrome traces, and compute the cross-worker critical
 /// path.
@@ -204,7 +204,8 @@ pub enum EventKind {
         survivors: u64,
         /// Convictions absorbed before falling back.
         cascade_depth: u64,
-        /// Why: `sole-survivor`, `deadline`, or `retry-budget`.
+        /// Why: `sole-survivor` (fewer than two workers left) or
+        /// `deadline` (the recovery deadline passed).
         reason: String,
         /// Pivot steps the serial tail had to finish (worst cell).
         replayed: u64,
@@ -232,11 +233,10 @@ pub enum EventKind {
     ExecSegment {
         /// The worker whose time this is (processor letter).
         worker: String,
-        /// Phase: `compute`, `send`, `recv-wait`, `checkpoint`, or
-        /// `blocked` (sender stalled on a full channel).
+        /// Phase: `compute`, `send`, `recv-wait`, or `checkpoint`.
         kind: String,
-        /// Peer processor for `send`/`recv-wait`/`blocked` segments
-        /// (empty for `compute`/`checkpoint`).
+        /// Peer processor for `send`/`recv-wait` segments (empty for
+        /// `compute`/`checkpoint`).
         peer: String,
         /// Pivot step `k` the segment belongs to.
         step: u64,
@@ -370,7 +370,6 @@ mod tests {
             ("send", "R"),
             ("recv-wait", "S"),
             ("checkpoint", ""),
-            ("blocked", "P"),
         ] {
             let record = EventRecord {
                 v: SCHEMA_VERSION,

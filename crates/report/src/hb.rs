@@ -4,7 +4,7 @@
 //! event trail — `ExecSend`/`ExecRecv`/`ExecRetry`/`ExecCheckpoint`/
 //! `ExecResume`/`ExecBlame`/… — whose *ordering* carries the protocol's
 //! correctness argument. This module replays a JSONL stream of those
-//! events, builds per-worker vector clocks, and checks four invariants:
+//! events, builds per-worker vector clocks, and checks five invariants:
 //!
 //! | id   | invariant |
 //! |------|-----------|
@@ -12,9 +12,10 @@
 //! | H002 | checkpoint `through` is monotone per worker within an attempt and never below the attempt's `resume_step` |
 //! | H003 | blame (`ExecBlame`) is emitted only after the retry budget was exhausted (an `ExecResume` with a backoff preceded it) or on conclusive evidence (a disconnect/panic/crash testimony) |
 //! | H004 | after `ExecResume { resume_step }`, no worker event replays a step below `resume_step` |
+//! | H005 | within an attempt, each ordered worker pair's non-empty sends never lead its non-empty receives by more than two |
 //!
 //! **Why vector clocks suffice here.** The executor is a 3-worker star:
-//! workers exchange fragments only pairwise per step, and the supervisor
+//! workers exchange messages only pairwise per block, and the supervisor
 //! is a global barrier — it joins every worker thread before deciding on
 //! retry, conviction, or resume. Each `ExecResume` therefore totally
 //! orders the attempts: every event of attempt *i* happens-before every
@@ -25,6 +26,17 @@
 //! bounds is sound — no cross-window edge can exist that the barrier did
 //! not already order.
 //!
+//! **Why H005 can read the stream's order.** A worker sends a peer its
+//! message for a block only after receiving that peer's message for the
+//! block before, which the peer sent only after receiving the worker's
+//! message for the block before that. So a third unreceived message in a
+//! channel means a worker ran ahead of the lockstep, and the executor's
+//! unbounded channels rest on that never happening. `obs::emit` writes
+//! each record under the sink's lock before the emitting worker goes on,
+//! so a receive that happened before a send is already in the stream when
+//! the send's line is written. A receive's line may still land before
+//! its own send's (the race H001 tolerates), which only lowers the count.
+//!
 //! Parsing is lenient (unparseable lines are counted, never fatal) but
 //! every finding cites the exact 1-based line of the offending event.
 
@@ -34,6 +46,10 @@ use std::fmt::Write as _;
 
 /// The supervisor's actor name in the vector clocks.
 const SUPERVISOR: &str = "sup";
+
+/// H005's bound: non-empty messages one worker may have sent a peer and
+/// the peer not yet received, within one attempt.
+const MAX_IN_FLIGHT: i64 = 2;
 
 /// A vector clock: actor name → event count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -55,7 +71,7 @@ impl VectorClock {
 /// One protocol violation at one line of the stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HbFinding {
-    /// Rule id, `H001`–`H004`.
+    /// Rule id, `H001`–`H005`.
     pub rule: &'static str,
     /// The stream's label (typically its file path).
     pub path: String,
@@ -80,6 +96,8 @@ pub struct HbReport {
     pub runs: usize,
     /// Attempt windows checked (initial attempt + one per `ExecResume`).
     pub windows: usize,
+    /// Most non-empty messages any one channel held unreceived (H005).
+    pub max_in_flight: u64,
     /// Final vector-clock own-components per actor, for the summary line.
     pub clocks: BTreeMap<String, u64>,
 }
@@ -101,6 +119,9 @@ impl HbReport {
             for (actor, n) in &self.clocks {
                 let _ = write!(out, " {actor}={n}");
             }
+        }
+        if self.max_in_flight > 0 {
+            let _ = write!(out, "; at most {} message(s) in flight", self.max_in_flight);
         }
         let _ = write!(out, "; {} violation(s)", self.findings.len());
         out
@@ -133,6 +154,9 @@ struct Window {
     through: BTreeMap<String, (u64, u32)>,
     /// Workers that already joined the supervisor's fork clock.
     joined: BTreeSet<String>,
+    /// Per `(from, to)`: non-empty sends minus non-empty receives so far.
+    /// Negative while a receive's line precedes its send's.
+    in_flight: BTreeMap<(String, String), i64>,
 }
 
 /// Full checker state for one stream.
@@ -231,6 +255,28 @@ impl Checker {
         }
     }
 
+    /// H005: move `from → to`'s in-flight count by `delta` (+1 for a
+    /// non-empty send, -1 for a non-empty receive) and flag a send that
+    /// leaves more than [`MAX_IN_FLIGHT`] messages unreceived.
+    fn count_in_flight(&mut self, from: &str, to: &str, delta: i64, line: u32) {
+        let key = (from.to_string(), to.to_string());
+        let count = self.window.in_flight.entry(key).or_default();
+        *count += delta;
+        let count = *count;
+        let held = u64::try_from(count).unwrap_or(0);
+        self.report.max_in_flight = self.report.max_in_flight.max(held);
+        if delta > 0 && count > MAX_IN_FLIGHT {
+            self.flag(
+                "H005",
+                line,
+                format!(
+                    "send {from}→{to} leaves {count} non-empty messages unreceived in \
+                     this attempt; lockstep allows at most {MAX_IN_FLIGHT}"
+                ),
+            );
+        }
+    }
+
     fn ensure_run(&mut self) {
         if !self.in_run {
             self.in_run = true;
@@ -287,6 +333,9 @@ impl Checker {
                 self.worker_tick(from.as_str());
                 let (from, to, step) = (from.clone(), to.clone(), *step);
                 self.check_step("send", &from.clone(), step, line);
+                if *elems > 0 {
+                    self.count_in_flight(&from, &to, 1, line);
+                }
                 self.window
                     .sends
                     .entry((from, to, step))
@@ -310,6 +359,7 @@ impl Checker {
                 let to_name = to.clone();
                 self.check_step("recv", &to_name, *step, line);
                 if *elems > 0 {
+                    self.count_in_flight(from, to, -1, line);
                     self.window.recvs.push(RecvRec {
                         from: from.clone(),
                         to: to.clone(),
@@ -719,6 +769,47 @@ mod tests {
         let h004 = report.findings.iter().find(|f| f.rule == "H004").unwrap();
         assert_eq!(h004.line, 3);
         assert!(h004.message.contains("below the attempt's resume_step 4"));
+    }
+
+    #[test]
+    fn h005_fires_on_a_third_unreceived_send() {
+        let text = stream(vec![
+            span_start("exec.run"),
+            send("R", "S", 0, 7),
+            send("R", "S", 4, 7),
+            send("R", "S", 8, 7), // R ran a block ahead of the lockstep
+            recv("R", "S", 0, 7),
+            recv("R", "S", 4, 7),
+            recv("R", "S", 8, 7),
+        ]);
+        let report = check_stream("t.jsonl", &text);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].rule, "H005");
+        assert_eq!(report.findings[0].line, 4);
+        assert!(report.findings[0].message.contains("leaves 3 non-empty"));
+        assert_eq!(report.max_in_flight, 3);
+    }
+
+    #[test]
+    fn h005_allows_two_in_flight_and_resets_per_attempt() {
+        // Lockstep at its widest: two sends ahead, an empty send that does
+        // not count, and two more unreceived sends after a resume, whose
+        // window starts from zero.
+        let text = stream(vec![
+            span_start("exec.run"),
+            send("R", "S", 0, 7),
+            send("R", "S", 4, 7),
+            send("R", "S", 6, 0),
+            recv("R", "S", 0, 7),
+            send("R", "S", 8, 7),
+            resume(2, 8, 1000),
+            send("R", "S", 8, 7),
+            send("R", "S", 12, 7),
+        ]);
+        let report = check_stream("t.jsonl", &text);
+        assert!(report.ok(), "{:?}", report.findings);
+        assert_eq!(report.max_in_flight, 2);
+        assert!(report.summary().contains("at most 2 message(s) in flight"));
     }
 
     #[test]

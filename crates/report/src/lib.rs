@@ -24,7 +24,7 @@
 //!   effective platform from a measured timeline and reports per-model
 //!   relative error for all five cost models ([`audit::audit`]);
 //! - [`hb`] — the happens-before protocol checker over executor event
-//!   streams, rules H001–H004 ([`hb::check_stream`]);
+//!   streams, rules H001–H005 ([`hb::check_stream`]);
 //! - [`input`] — lenient JSONL loaders that survive truncated lines
 //!   ([`EventLog`], [`ManifestLog`]).
 //!

@@ -1,7 +1,7 @@
 //! Per-processor timeline reconstruction from `ExecSegment` events.
 //!
 //! The executor (and the simulator) attribute every worker's wall time to
-//! `compute` / `send` / `recv-wait` / `checkpoint` / `blocked` segments;
+//! `compute` / `send` / `recv-wait` / `checkpoint` segments;
 //! this module turns that stream back into per-processor timelines and
 //! answers the questions the paper's cost models predict: measured
 //! T_comm and T_exe per processor, the comm/compute overlap fraction, and
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 pub struct Segment {
     /// Worker (processor letter).
     pub worker: String,
-    /// Phase kind: `compute`, `send`, `recv-wait`, `checkpoint`, `blocked`.
+    /// Phase kind: `compute`, `send`, `recv-wait`, `checkpoint`.
     pub kind: String,
     /// Peer for comm segments (empty otherwise).
     pub peer: String,
@@ -43,9 +43,9 @@ impl Segment {
         self.end_nanos.saturating_sub(self.start_nanos)
     }
 
-    /// Is this a communication phase (`send`, `recv-wait`, or `blocked`)?
+    /// Is this a communication phase (`send` or `recv-wait`)?
     pub fn is_comm(&self) -> bool {
-        matches!(self.kind.as_str(), "send" | "recv-wait" | "blocked")
+        matches!(self.kind.as_str(), "send" | "recv-wait")
     }
 
     /// The deterministic total order used everywhere: time, then identity.
@@ -66,14 +66,12 @@ impl Segment {
 pub struct WorkerSummary {
     /// Total `compute` time.
     pub compute_nanos: u64,
-    /// Total `send` time (includes any `blocked` sub-interval).
+    /// Total `send` time.
     pub send_nanos: u64,
     /// Total `recv-wait` time.
     pub recv_wait_nanos: u64,
     /// Total `checkpoint` time.
     pub checkpoint_nanos: u64,
-    /// Total full-channel `blocked` time (also counted inside `send`).
-    pub blocked_nanos: u64,
     /// Earliest segment start.
     pub first_nanos: u64,
     /// Latest segment end.
@@ -87,8 +85,7 @@ pub struct WorkerSummary {
 }
 
 impl WorkerSummary {
-    /// Measured communication time: send + recv-wait (`blocked` already
-    /// lies inside `send`, so it is not double-counted).
+    /// Measured communication time: send + recv-wait.
     pub fn comm_nanos(&self) -> u64 {
         self.send_nanos + self.recv_wait_nanos
     }
@@ -178,7 +175,6 @@ impl Timeline {
                 "send" => w.send_nanos += d,
                 "recv-wait" => w.recv_wait_nanos += d,
                 "checkpoint" => w.checkpoint_nanos += d,
-                "blocked" => w.blocked_nanos += d,
                 _ => {}
             }
             w.first_nanos = w.first_nanos.min(seg.start_nanos);
@@ -198,7 +194,7 @@ impl Timeline {
             let others_comm: Vec<(u64, u64)> = self
                 .segments
                 .iter()
-                .filter(|s| &s.worker != worker && s.is_comm() && s.kind != "blocked")
+                .filter(|s| &s.worker != worker && s.is_comm())
                 .map(|s| (s.start_nanos, s.end_nanos))
                 .collect();
             let comm = merge_intervals(others_comm);
@@ -373,13 +369,12 @@ impl Timeline {
         for (worker, s) in &summaries {
             let _ = writeln!(
                 out,
-                "  {worker}: T_exe={} ns, T_comm={} ns (send={} recv-wait={} blocked={}), \
+                "  {worker}: T_exe={} ns, T_comm={} ns (send={} recv-wait={}), \
                  compute={} ns, checkpoint={} ns, overlap={:.1}%",
                 s.exe_nanos(),
                 s.comm_nanos(),
                 s.send_nanos,
                 s.recv_wait_nanos,
-                s.blocked_nanos,
                 s.compute_nanos,
                 s.checkpoint_nanos,
                 100.0 * s.overlap_fraction

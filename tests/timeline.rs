@@ -56,32 +56,30 @@ fn capture_run(n: usize, config: &ExecConfig) -> Vec<obs::EventRecord> {
 fn fake_clock_executor_trace_is_byte_identical() {
     let _guard = test_lock();
     reset_obs();
-    let run = || {
+    let run = |block: usize| {
         let fake = Arc::new(obs::FakeClock::new());
         obs::set_clock(fake.clone());
-        // Capacity >= step count so no sender ever finds a channel full:
-        // `blocked` segments depend on thread scheduling and would make
-        // the trace run-dependent.
-        let config = ExecConfig::default()
-            .with_channel_capacity(12)
-            .with_clock(fake);
+        let config = ExecConfig::default().with_block(block).with_clock(fake);
         let records = capture_run(12, &config);
         obs::reset_clock();
         Timeline::from_events(&records).chrome_trace_json()
     };
-    let first = run();
-    let second = run();
+    // At a block of 1 every worker sends each peer twelve messages.
+    for block in [1, 4, 16] {
+        let first = run(block);
+        let second = run(block);
+        assert!(!first.is_empty());
+        assert_eq!(
+            first, second,
+            "same-seed FakeClock traces must be identical at block {block}"
+        );
+        // An unadvanced FakeClock stamps every segment at zero; the trace
+        // is still structurally complete.
+        assert!(first.contains("\"ph\":\"X\""));
+        assert!(first.contains("\"thread_name\""));
+        assert!(first.contains("compute"));
+    }
     reset_obs();
-    assert!(!first.is_empty());
-    assert_eq!(
-        first, second,
-        "same-seed FakeClock traces must be identical"
-    );
-    // An unadvanced FakeClock stamps every segment at zero; the trace is
-    // still structurally complete.
-    assert!(first.contains("\"ph\":\"X\""));
-    assert!(first.contains("\"thread_name\""));
-    assert!(first.contains("compute"));
 }
 
 #[test]
@@ -127,7 +125,7 @@ fn executor_segments_reconstruct_per_worker_timelines() {
     assert!(kinds.contains(&"checkpoint"));
     for seg in &tl.segments {
         assert!(seg.end_nanos >= seg.start_nanos, "well-formed: {seg:?}");
-        let needs_peer = matches!(seg.kind.as_str(), "send" | "recv-wait" | "blocked");
+        let needs_peer = matches!(seg.kind.as_str(), "send" | "recv-wait");
         assert_eq!(needs_peer, !seg.peer.is_empty(), "peer discipline: {seg:?}");
     }
 

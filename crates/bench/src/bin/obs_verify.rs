@@ -1,25 +1,26 @@
 //! Schema and protocol validator for observability artifacts.
 //!
-//! Reads an event JSONL file (written by a `JsonlSink`) and checks that
-//! every line parses as an `EventRecord` with the current schema version,
-//! that span start/end events pair up, and that every `ExecSegment` is
+//! Reads an event JSONL file (written by a `JsonlSink`) through the
+//! workspace's one loader (`hetmmm_report::input`) and checks that every
+//! line parses as an `EventRecord` with the current schema version, that
+//! span start/end events pair up, and that every `ExecSegment` is
 //! well-formed (known kind, `end >= start`, peer present exactly when the
-//! kind is peer-directed). Unparseable or foreign-schema lines are
+//! kind is peer-directed). Blank, unparseable or foreign-schema lines are
 //! *skipped and counted* rather than aborting the scan, so one corrupt
 //! line still yields a full report — but any skip fails the gate, and a
 //! file where **nothing** parsed exits with the distinct code 3 (wrong
 //! file, or a stream from a different schema epoch) so CI can tell
 //! "corrupt artifact" from "pointed at the wrong artifact".
 //!
-//! With `--hb`, additionally replays the stream through the
-//! happens-before protocol checker (`hetmmm_report::hb`): vector clocks per
-//! worker, send/recv matching per attempt window, checkpoint
-//! monotonicity, blame-after-retry-budget discipline, no replay below the
-//! resume step, and at most two unreceived messages per channel (rules
-//! H001–H005). Optionally validates a manifest JSONL
-//! (`results/manifests.jsonl`) the same way. CI runs this after a small
-//! `fig5_archetype_census` run and after the chaos harness to guard both
-//! the wire format and the recovery protocol.
+//! With `--hb`, additionally checks the stream with the happens-before
+//! protocol checker (`hetmmm_report::hb`): send/recv matching per attempt
+//! window, checkpoint monotonicity, blame only after a backoff re-attempt
+//! or a worker's self-report, no replay below the resume step, and at
+//! most two unreceived messages per channel (rules H001–H005). A path
+//! given to both `--file` and `--hb` is parsed once. Optionally validates
+//! a manifest JSONL (`results/manifests.jsonl`) the same way. CI runs
+//! this after a small `fig5_archetype_census` run and after the chaos
+//! harness to guard both the wire format and the recovery protocol.
 //!
 //! Usage:
 //!   obs_verify --file results/fig5_events.jsonl [--manifest results/manifests.jsonl]
@@ -29,8 +30,8 @@
 //! 3 file had lines but none parsed.
 
 use hetmmm_bench::Args;
-use hetmmm_obs::{EventKind, EventRecord, RunManifest, MANIFEST_VERSION, SCHEMA_VERSION};
-use hetmmm_report::hb;
+use hetmmm_obs::{EventKind, MANIFEST_VERSION, SCHEMA_VERSION};
+use hetmmm_report::{hb, EventLog, ManifestLog, Skip, SkipReason};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -45,80 +46,46 @@ const SEGMENT_KINDS: [&str; 4] = ["compute", "send", "recv-wait", "checkpoint"];
 /// The subset of [`SEGMENT_KINDS`] that must carry a non-empty `peer`.
 const PEER_KINDS: [&str; 2] = ["send", "recv-wait"];
 
-/// What a lenient event scan produced.
-struct EventsReport {
-    /// Records that parsed with the current schema version.
-    events: usize,
-    /// Balanced span pairs seen.
-    spans: usize,
-    /// Well-formed `ExecSegment`s seen.
-    segments: usize,
-    /// Lines that did not parse (bad JSON, blank, or foreign schema).
-    skipped: usize,
-    /// 1-based line and reason of the first skip, for the error message.
-    first_skip: Option<(usize, String)>,
+/// Print `msg` as a violation and return exit code 1.
+fn fail(msg: String) -> ExitCode {
+    eprintln!("obs_verify: {msg}");
+    ExitCode::FAILURE
 }
 
-fn verify_events(path: &str) -> Result<EventsReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut open_spans: HashMap<u64, String> = HashMap::new();
-    let mut report = EventsReport {
-        events: 0,
-        spans: 0,
-        segments: 0,
-        skipped: 0,
-        first_skip: None,
-    };
-    let skip = |report: &mut EventsReport, lineno: usize, why: String| {
-        report.skipped += 1;
-        if report.first_skip.is_none() {
-            report.first_skip = Some((lineno + 1, why));
-        }
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            skip(&mut report, lineno, "blank line".to_string());
-            continue;
-        }
-        let record: EventRecord = match serde_json::from_str(line) {
-            Ok(record) => record,
-            Err(e) => {
-                skip(&mut report, lineno, format!("unparseable record: {e}"));
-                continue;
-            }
-        };
-        if record.v != SCHEMA_VERSION {
-            skip(
-                &mut report,
-                lineno,
-                format!("schema version {} != expected {SCHEMA_VERSION}", record.v),
-            );
-            continue;
-        }
+/// Why `skip` was skipped, in the words of its stream's record type.
+fn why(skip: &Skip, record: &str, version: &str, expected: u32) -> String {
+    match &skip.reason {
+        SkipReason::Blank => "blank line".to_string(),
+        SkipReason::Unparseable(e) => format!("unparseable {record}: {e}"),
+        SkipReason::Foreign(v) => format!("{version} version {v} != expected {expected}"),
+    }
+}
+
+fn read_events(path: &str) -> Result<EventLog, ExitCode> {
+    EventLog::read_path(path).map_err(|e| fail(format!("{path}: {e}")))
+}
+
+/// Check span pairing and `ExecSegment` fields, then the skipped lines.
+fn verify_events(path: &str, log: &EventLog) -> Result<(), ExitCode> {
+    let mut open_spans: HashMap<u64, &str> = HashMap::new();
+    let (mut spans, mut segments) = (0usize, 0usize);
+    for (line, record) in log.numbered() {
+        let at = |msg: String| fail(format!("{path}:{line}: {msg}"));
         match &record.event {
             EventKind::SpanStart { span, name, .. } => {
-                if open_spans.insert(*span, name.clone()).is_some() {
-                    return Err(format!(
-                        "{path}:{}: span id {span} opened twice",
-                        lineno + 1
-                    ));
+                if open_spans.insert(*span, name).is_some() {
+                    return Err(at(format!("span id {span} opened twice")));
                 }
-                report.spans += 1;
+                spans += 1;
             }
             EventKind::SpanEnd { span, name, .. } => match open_spans.remove(span) {
-                Some(open_name) if &open_name == name => {}
+                Some(open_name) if open_name == name => {}
                 Some(open_name) => {
-                    return Err(format!(
-                        "{path}:{}: span id {span} opened as {open_name:?} but closed as {name:?}",
-                        lineno + 1
-                    ));
+                    return Err(at(format!(
+                        "span id {span} opened as {open_name:?} but closed as {name:?}"
+                    )));
                 }
-                None => {
-                    return Err(format!(
-                        "{path}:{}: span id {span} closed but never opened",
-                        lineno + 1
-                    ));
-                }
+                None => return Err(at(format!("span id {span} closed but never opened"))),
             },
             EventKind::ExecSegment {
                 worker,
@@ -129,27 +96,20 @@ fn verify_events(path: &str) -> Result<EventsReport, String> {
                 ..
             } => {
                 if worker.is_empty() {
-                    return Err(format!("{path}:{}: segment with empty worker", lineno + 1));
+                    return Err(at("segment with empty worker".to_string()));
                 }
                 if !SEGMENT_KINDS.contains(&kind.as_str()) {
-                    return Err(format!(
-                        "{path}:{}: unknown segment kind {kind:?}",
-                        lineno + 1
-                    ));
+                    return Err(at(format!("unknown segment kind {kind:?}")));
                 }
                 if end_nanos < start_nanos {
-                    return Err(format!(
-                        "{path}:{}: segment ends before it starts ({end_nanos} < {start_nanos})",
-                        lineno + 1
-                    ));
+                    return Err(at(format!(
+                        "segment ends before it starts ({end_nanos} < {start_nanos})"
+                    )));
                 }
                 if PEER_KINDS.contains(&kind.as_str()) == peer.is_empty() {
-                    return Err(format!(
-                        "{path}:{}: segment kind {kind:?} with peer {peer:?}",
-                        lineno + 1
-                    ));
+                    return Err(at(format!("segment kind {kind:?} with peer {peer:?}")));
                 }
-                report.segments += 1;
+                segments += 1;
             }
             // No wildcard arm: a new variant fails to compile here until
             // this scan decides whether it has structure to validate.
@@ -174,57 +134,77 @@ fn verify_events(path: &str) -> Result<EventsReport, String> {
             | EventKind::SimPhase { .. }
             | EventKind::NprocRunEnd { .. } => {}
         }
-        report.events += 1;
     }
     if !open_spans.is_empty() {
-        let mut names: Vec<&String> = open_spans.values().collect();
-        names.sort();
-        return Err(format!(
+        let mut names: Vec<&str> = open_spans.into_values().collect();
+        names.sort_unstable();
+        return Err(fail(format!(
             "{path}: {} unclosed span(s): {names:?}",
-            open_spans.len()
-        ));
+            names.len()
+        )));
     }
-    Ok(report)
+    let (events, skipped) = (log.records.len(), log.skipped.len());
+    match log.skipped.first() {
+        Some(skip) if events == 0 => {
+            eprintln!(
+                "obs_verify: {path}: {skipped} line(s), none parsed as schema-v{SCHEMA_VERSION} \
+                 event records (first skip at line {}: {}) — wrong file, or a stream from \
+                 another schema epoch",
+                skip.line,
+                why(skip, "record", "schema", SCHEMA_VERSION)
+            );
+            Err(ExitCode::from(EXIT_NOTHING_PARSED))
+        }
+        None if events == 0 => Err(fail(format!(
+            "{path}: no events — instrumentation produced nothing"
+        ))),
+        Some(skip) => Err(fail(format!(
+            "{path}: {skipped} of {} line(s) skipped (first at line {}: {})",
+            events + skipped,
+            skip.line,
+            why(skip, "record", "schema", SCHEMA_VERSION)
+        ))),
+        None => {
+            println!(
+                "{path}: OK — {events} events, {spans} balanced span(s), \
+                 {segments} well-formed segment(s), schema v{SCHEMA_VERSION}"
+            );
+            Ok(())
+        }
+    }
 }
 
-fn verify_manifests(path: &str) -> Result<usize, String> {
+fn verify_manifests(path: &str) -> Result<(), ExitCode> {
     // A missing or empty manifest file is a fresh checkout, not a schema
     // violation: report zero records and let main exit 0.
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("{path}: {e}")),
+    let log = match ManifestLog::read_path(path) {
+        Ok(log) => log,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ManifestLog::default(),
+        Err(e) => return Err(fail(format!("{path}: {e}"))),
     };
-    let mut count = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let manifest: RunManifest = serde_json::from_str(line)
-            .map_err(|e| format!("{path}:{}: unparseable manifest: {e}", lineno + 1))?;
-        if manifest.v != MANIFEST_VERSION {
-            return Err(format!(
-                "{path}:{}: manifest version {} != expected {MANIFEST_VERSION}",
-                lineno + 1,
-                manifest.v
-            ));
-        }
-        if manifest.bin.is_empty() {
-            return Err(format!("{path}:{}: empty binary name", lineno + 1));
-        }
-        count += 1;
+    // The first bad line in file order: skipped, or a nameless binary.
+    let skipped = log.skipped.first().map(|skip| {
+        let msg = why(skip, "manifest", "manifest", MANIFEST_VERSION);
+        (skip.line, msg)
+    });
+    let nameless = log
+        .numbered()
+        .find(|(_, m)| m.bin.is_empty())
+        .map(|(line, _)| (line, "empty binary name".to_string()));
+    if let Some((line, msg)) = skipped.into_iter().chain(nameless).min() {
+        return Err(fail(format!("{path}:{line}: {msg}")));
     }
-    Ok(count)
+    match log.records.len() {
+        0 => println!("{path}: no manifests found (fresh checkout?) — nothing to verify"),
+        count => println!("{path}: OK — {count} manifest record(s), v{MANIFEST_VERSION}"),
+    }
+    Ok(())
 }
 
-/// Run the happens-before checker over `path`, printing every violation
-/// as `path:line: RULE message`. `Err` carries the exit code.
-fn verify_hb(path: &str) -> Result<(), ExitCode> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("obs_verify: {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let report = hb::check_stream(path, &text);
+/// Run the happens-before checker over `log`, printing every violation
+/// as `path:line: RULE message`.
+fn verify_hb(path: &str, log: &EventLog) -> Result<(), ExitCode> {
+    let report = hb::check(path, log);
     if report.events == 0 && report.skipped_lines > 0 {
         eprintln!(
             "obs_verify: {path}: {} line(s), none parsed as schema-v{SCHEMA_VERSION} \
@@ -240,13 +220,14 @@ fn verify_hb(path: &str) -> Result<(), ExitCode> {
         println!("{path}: HB OK — {}", report.summary());
         Ok(())
     } else {
-        eprintln!("obs_verify: {path}: happens-before: {}", report.summary());
-        Err(ExitCode::FAILURE)
+        Err(fail(format!(
+            "{path}: happens-before: {}",
+            report.summary()
+        )))
     }
 }
 
-fn main() -> ExitCode {
-    let args = Args::parse();
+fn run(args: &Args) -> Result<(), ExitCode> {
     let file = args.get_str("file");
     let hb_file = args.get_str("hb");
     if file.is_none() && hb_file.is_none() {
@@ -254,64 +235,30 @@ fn main() -> ExitCode {
             "usage: obs_verify --file <events.jsonl> [--manifest <manifests.jsonl>] \
              [--hb <events.jsonl>]"
         );
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
+    let mut events = None;
     if let Some(file) = file {
-        match verify_events(file) {
-            Ok(report) if report.events == 0 && report.skipped > 0 => {
-                let (line, why) = report.first_skip.unwrap_or((1, "empty".to_string()));
-                eprintln!(
-                    "obs_verify: {file}: {} line(s), none parsed as schema-v{SCHEMA_VERSION} \
-                     event records (first skip at line {line}: {why}) — wrong file, or a \
-                     stream from another schema epoch",
-                    report.skipped
-                );
-                return ExitCode::from(EXIT_NOTHING_PARSED);
-            }
-            Ok(report) if report.events == 0 => {
-                eprintln!("obs_verify: {file}: no events — instrumentation produced nothing");
-                return ExitCode::FAILURE;
-            }
-            Ok(report) if report.skipped > 0 => {
-                let (line, why) = report.first_skip.unwrap_or((1, "unknown".to_string()));
-                eprintln!(
-                    "obs_verify: {file}: {} of {} line(s) skipped (first at line {line}: {why})",
-                    report.skipped,
-                    report.events + report.skipped
-                );
-                return ExitCode::FAILURE;
-            }
-            Ok(report) => {
-                println!(
-                    "{file}: OK — {} events, {} balanced span(s), \
-                     {} well-formed segment(s), schema v{SCHEMA_VERSION}",
-                    report.events, report.spans, report.segments
-                );
-            }
-            Err(err) => {
-                eprintln!("obs_verify: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let log = read_events(file)?;
+        verify_events(file, &log)?;
+        events = Some(log);
     }
     if let Some(manifest) = args.get_str("manifest") {
-        match verify_manifests(manifest) {
-            Ok(0) => {
-                println!("{manifest}: no manifests found (fresh checkout?) — nothing to verify");
-            }
-            Ok(count) => {
-                println!("{manifest}: OK — {count} manifest record(s), v{MANIFEST_VERSION}");
-            }
-            Err(err) => {
-                eprintln!("obs_verify: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        verify_manifests(manifest)?;
     }
     if let Some(hb_file) = hb_file {
-        if let Err(code) = verify_hb(hb_file) {
-            return code;
-        }
+        let log = match events {
+            Some(log) if file == Some(hb_file) => log,
+            _ => read_events(hb_file)?,
+        };
+        verify_hb(hb_file, &log)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run(&Args::parse()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
 }

@@ -101,10 +101,6 @@ pub struct RecoveryStats {
     pub faults_detected: u64,
     /// C elements whose owner changed during survivor re-partitioning.
     pub elems_reassigned: u64,
-    /// Convictions acted on: each restarts the multiply on a degraded
-    /// partition or, with fewer than two survivors left, finishes it
-    /// serially. Always equal to `faults_detected`.
-    pub retries: u64,
     /// Worker-level receive re-waits (transient absorption, layer 1).
     pub recv_retries: u64,
     /// Supervisor-level re-attempts before any conviction (layer 2).
@@ -1157,7 +1153,6 @@ pub fn multiply_partitioned_with(
                 sup.recovery.faults_detected += 1;
                 sup.per_proc[dead.idx()] = ProcExec::default();
                 active.retain(|&p| p != dead);
-                sup.recovery.retries += 1;
                 if active.len() < 2 {
                     return Ok(sup.finish_degraded(a, b, &current, &active, "sole-survivor"));
                 }
@@ -1442,7 +1437,6 @@ mod tests {
         let (c, stats) = multiply_partitioned_with(&a, &b, &part, &config).unwrap();
         assert!(c.max_abs_diff(&kij_serial(&a, &b)) < 1e-10);
         assert_eq!(stats.recovery.faults_detected, 1);
-        assert_eq!(stats.recovery.retries, 1);
         assert_eq!(stats.recovery.elems_reassigned, dead_elems);
         // A crash is a confession: convicted immediately, no supervisor
         // backoff attempts burned.
@@ -1610,7 +1604,6 @@ mod tests {
         // The cascade re-enters blame per fault: two convictions, then a
         // graceful degrade to the single survivor.
         assert_eq!(stats.recovery.faults_detected, 2);
-        assert_eq!(stats.recovery.retries, 2);
         assert!(stats.recovery.degraded_mode);
         assert_eq!(stats.per_proc[Proc::R.idx()], ProcExec::default());
         assert_eq!(stats.per_proc[Proc::S.idx()], ProcExec::default());

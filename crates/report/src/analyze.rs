@@ -165,7 +165,7 @@ impl Analysis {
     pub fn from_events(log: &EventLog) -> Analysis {
         let mut a = Analysis {
             records: log.records.len(),
-            skipped_lines: log.skipped_lines,
+            skipped_lines: log.skipped.len(),
             ..Analysis::default()
         };
         let mut steps = Vec::new();
@@ -431,11 +431,11 @@ impl ManifestSummary {
     /// Aggregate one manifest log.
     pub fn from_manifests(log: &ManifestLog) -> ManifestSummary {
         let mut summary = ManifestSummary {
-            manifests: log.manifests.len(),
-            skipped_lines: log.skipped_lines,
+            manifests: log.records.len(),
+            skipped_lines: log.skipped.len(),
             ..ManifestSummary::default()
         };
-        for m in &log.manifests {
+        for m in &log.records {
             let bin = summary.bins.entry(m.bin.clone()).or_default();
             bin.runs += 1;
             bin.events_emitted += m.events_emitted;
@@ -560,9 +560,25 @@ mod tests {
         }
     }
 
-    fn sample_log() -> EventLog {
+    /// `records` on lines 1, 2, …, then `skipped` blank lines.
+    fn log_of(records: Vec<EventRecord>, skipped: usize) -> EventLog {
+        let n = records.len();
+        let blank = |line| crate::input::Skip {
+            line,
+            reason: crate::input::SkipReason::Blank,
+        };
+        let skipped = (n + 1..=n + skipped).map(blank).collect();
+        let lines = (1..=n).collect();
         EventLog {
-            records: vec![
+            records,
+            lines,
+            skipped,
+        }
+    }
+
+    fn sample_log() -> EventLog {
+        log_of(
+            vec![
                 rec(EventKind::DfaRunStart {
                     seed: 1,
                     n: 40,
@@ -609,8 +625,8 @@ mod tests {
                     wait_nanos: 500,
                 }),
             ],
-            skipped_lines: 1,
-        }
+            1,
+        )
     }
 
     #[test]
@@ -642,8 +658,8 @@ mod tests {
     }
 
     fn recovery_log() -> EventLog {
-        EventLog {
-            records: vec![
+        log_of(
+            vec![
                 rec(EventKind::ExecRetry {
                     worker: "R".into(),
                     peer: "S".into(),
@@ -691,8 +707,8 @@ mod tests {
                     replayed: 3,
                 }),
             ],
-            skipped_lines: 0,
-        }
+            0,
+        )
     }
 
     #[test]

@@ -3,28 +3,36 @@
 //! The recovery executor (`crates/mmm/src/parallel.rs`) emits a typed
 //! event trail — `ExecSend`/`ExecRecv`/`ExecRetry`/`ExecCheckpoint`/
 //! `ExecResume`/`ExecBlame`/… — whose *ordering* carries the protocol's
-//! correctness argument. This module replays a JSONL stream of those
-//! events, builds per-worker vector clocks, and checks five invariants:
+//! correctness argument. [`check`] reads a parsed stream ([`EventLog`]),
+//! cuts it into attempt windows, and checks five invariants:
 //!
 //! | id   | invariant |
 //! |------|-----------|
 //! | H001 | every receive has a matching send in the same attempt (same `from`/`to`/`step`, same element count, one receive per send) |
 //! | H002 | checkpoint `through` is monotone per worker within an attempt and never below the attempt's `resume_step` |
-//! | H003 | blame (`ExecBlame`) is emitted only after the retry budget was exhausted (an `ExecResume` with a backoff preceded it) or on conclusive evidence (a disconnect/panic/crash testimony) |
+//! | H003 | blame (`ExecBlame`) is emitted only after the retry budget was exhausted (an `ExecResume` with a backoff preceded it) or on a self-report (an `ExecPeerLost` with `worker == peer`) |
 //! | H004 | after `ExecResume { resume_step }`, no worker event replays a step below `resume_step` |
 //! | H005 | within an attempt, each ordered worker pair's non-empty sends never lead its non-empty receives by more than two |
 //!
-//! **Why vector clocks suffice here.** The executor is a 3-worker star:
+//! **Why attempt windows are enough.** The executor is a 3-worker star:
 //! workers exchange messages only pairwise per block, and the supervisor
 //! is a global barrier — it joins every worker thread before deciding on
-//! retry, conviction, or resume. Each `ExecResume` therefore totally
-//! orders the attempts: every event of attempt *i* happens-before every
-//! event of attempt *i + 1*. A 4-component clock (3 workers + the
-//! supervisor) with join edges at sends/receives and barrier edges at
-//! resumes captures the complete happens-before relation, so checking
-//! send/recv matching *within* an attempt window plus per-window step
-//! bounds is sound — no cross-window edge can exist that the barrier did
-//! not already order.
+//! retry, conviction, or resume. Each `ExecResume` (and each `exec.run`
+//! span) therefore totally orders the attempts: every event of attempt
+//! *i* happens-before every event of attempt *i + 1*, and no message
+//! crosses from one to the next. So checking send/recv matching *within*
+//! an attempt window plus per-window step bounds is sound, and no
+//! per-worker clock would add an edge the barrier has not already
+//! ordered.
+//!
+//! **Why H003 reads structure.** The supervisor convicts at once only
+//! when a worker confessed: a modeled crash confesses after its thread
+//! is joined, a panic is caught at the join, and both emit an
+//! `ExecPeerLost` naming the worker itself. Any other failure is
+//! inconclusive and earns a backoff re-attempt first. A peer's "channel
+//! disconnected" testimony is no evidence: nearly every failed attempt
+//! produces it, as the cascade from a peer that exited after detecting
+//! the real failure.
 //!
 //! **Why H005 can read the stream's order.** A worker sends a peer its
 //! message for a block only after receiving that peer's message for the
@@ -37,36 +45,16 @@
 //! the send's line is written. A receive's line may still land before
 //! its own send's (the race H001 tolerates), which only lowers the count.
 //!
-//! Parsing is lenient (unparseable lines are counted, never fatal) but
-//! every finding cites the exact 1-based line of the offending event.
+//! Every finding cites the exact 1-based line of the offending event.
 
-use hetmmm_obs::{EventKind, EventRecord, SCHEMA_VERSION};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::input::EventLog;
+use hetmmm_obs::EventKind;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-
-/// The supervisor's actor name in the vector clocks.
-const SUPERVISOR: &str = "sup";
 
 /// H005's bound: non-empty messages one worker may have sent a peer and
 /// the peer not yet received, within one attempt.
 const MAX_IN_FLIGHT: i64 = 2;
-
-/// A vector clock: actor name → event count.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct VectorClock(BTreeMap<String, u64>);
-
-impl VectorClock {
-    fn tick(&mut self, actor: &str) {
-        *self.0.entry(actor.to_string()).or_default() += 1;
-    }
-
-    fn join(&mut self, other: &VectorClock) {
-        for (actor, &v) in &other.0 {
-            let e = self.0.entry(actor.clone()).or_default();
-            *e = (*e).max(v);
-        }
-    }
-}
 
 /// One protocol violation at one line of the stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,7 +64,7 @@ pub struct HbFinding {
     /// The stream's label (typically its file path).
     pub path: String,
     /// 1-based line of the offending event.
-    pub line: u32,
+    pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
 }
@@ -90,7 +78,7 @@ pub struct HbReport {
     pub events: usize,
     /// Events that participated in the protocol model (`Exec*`).
     pub exec_events: usize,
-    /// Unparseable or foreign-schema lines skipped.
+    /// Lines the loader skipped (blank, unparseable, foreign schema).
     pub skipped_lines: usize,
     /// Executor runs seen (`exec.run` spans; 1 implicit run otherwise).
     pub runs: usize,
@@ -98,8 +86,6 @@ pub struct HbReport {
     pub windows: usize,
     /// Most non-empty messages any one channel held unreceived (H005).
     pub max_in_flight: u64,
-    /// Final vector-clock own-components per actor, for the summary line.
-    pub clocks: BTreeMap<String, u64>,
 }
 
 impl HbReport {
@@ -114,12 +100,6 @@ impl HbReport {
             "hb: {} events ({} exec) across {} run(s), {} attempt window(s), {} skipped line(s)",
             self.events, self.exec_events, self.runs, self.windows, self.skipped_lines
         );
-        if !self.clocks.is_empty() {
-            let _ = write!(out, "; clocks");
-            for (actor, n) in &self.clocks {
-                let _ = write!(out, " {actor}={n}");
-            }
-        }
         if self.max_in_flight > 0 {
             let _ = write!(out, "; at most {} message(s) in flight", self.max_in_flight);
         }
@@ -128,112 +108,66 @@ impl HbReport {
     }
 }
 
-/// One recorded send awaiting its receive.
-struct SendRec {
-    elems: u64,
-    line: u32,
-    consumed: bool,
-}
-
-/// One recorded receive, matched against sends at window close.
-struct RecvRec {
-    from: String,
-    to: String,
-    step: u64,
-    elems: u64,
-    line: u32,
-}
+/// A message's `(from, to, step)`, unique within an attempt.
+type MessageKey = (String, String, u64);
 
 /// Mutable state of the attempt window currently being read.
 #[derive(Default)]
 struct Window {
     resume_step: u64,
-    sends: BTreeMap<(String, String, u64), Vec<SendRec>>,
-    recvs: Vec<RecvRec>,
+    /// Each key's sends as `(elems, line)`, in stream order.
+    sends: BTreeMap<MessageKey, VecDeque<(u64, usize)>>,
+    /// Each non-empty receive as `(key, elems, line)`.
+    recvs: Vec<(MessageKey, u64, usize)>,
     /// Per-worker highest checkpoint `through` seen this window.
-    through: BTreeMap<String, (u64, u32)>,
-    /// Workers that already joined the supervisor's fork clock.
-    joined: BTreeSet<String>,
+    through: BTreeMap<String, (u64, usize)>,
     /// Per `(from, to)`: non-empty sends minus non-empty receives so far.
     /// Negative while a receive's line precedes its send's.
     in_flight: BTreeMap<(String, String), i64>,
 }
 
 /// Full checker state for one stream.
-struct Checker {
-    label: String,
+struct Checker<'a> {
+    label: &'a str,
     report: HbReport,
     window: Window,
-    /// Conviction-episode evidence: a supervisor retry re-attempt
-    /// (`ExecResume` with `backoff_nanos > 0`) happened since the last
-    /// blame.
-    retry_resume_seen: bool,
-    /// Conviction-episode evidence: conclusive testimony (disconnect,
-    /// panic) since the last blame.
-    conclusive_evidence: bool,
-    clocks: BTreeMap<String, VectorClock>,
-    sup: VectorClock,
-    /// Supervisor clock snapshot forked to workers at the window start.
-    fork: VectorClock,
+    /// Conviction-episode evidence since the last blame: a supervisor
+    /// backoff re-attempt (`ExecResume` with `backoff_nanos > 0`).
+    retried: bool,
+    /// Conviction-episode evidence since the last blame: a self-report
+    /// (`ExecPeerLost` with `worker == peer`).
+    confessed: bool,
     in_run: bool,
 }
 
-/// Check a JSONL event stream. `label` names the stream in findings
+/// Check a parsed event stream. `label` names the stream in findings
 /// (typically the file path).
-pub fn check_stream(label: &str, text: &str) -> HbReport {
+pub fn check(label: &str, log: &EventLog) -> HbReport {
     let mut ck = Checker {
-        label: label.to_string(),
-        report: HbReport::default(),
+        label,
+        report: HbReport {
+            events: log.records.len(),
+            skipped_lines: log.skipped.len(),
+            ..HbReport::default()
+        },
         window: Window::default(),
-        retry_resume_seen: false,
-        conclusive_evidence: false,
-        clocks: BTreeMap::new(),
-        sup: VectorClock::default(),
-        fork: VectorClock::default(),
+        retried: false,
+        confessed: false,
         in_run: false,
     };
-    for (lineno, line) in text.lines().enumerate() {
-        let line_no = (lineno + 1) as u32;
-        if line.trim().is_empty() {
-            ck.report.skipped_lines += 1;
-            continue;
-        }
-        let rec: EventRecord = match serde_json::from_str(line) {
-            Ok(rec) => rec,
-            Err(_) => {
-                ck.report.skipped_lines += 1;
-                continue;
-            }
-        };
-        if rec.v != SCHEMA_VERSION {
-            ck.report.skipped_lines += 1;
-            continue;
-        }
-        ck.report.events += 1;
-        ck.event(&rec.event, line_no);
+    for (line, record) in log.numbered() {
+        ck.event(&record.event, line);
     }
-    ck.finish()
+    let last = std::mem::take(&mut ck.window);
+    ck.match_window(last);
+    ck.report
 }
 
-impl Checker {
-    /// A worker's first event in a window inherits the supervisor's
-    /// barrier clock; every event advances the worker's own component.
-    fn worker_tick(&mut self, actor: &str) {
-        let clock = self.clocks.entry(actor.to_string()).or_default();
-        if self.window.joined.insert(actor.to_string()) {
-            clock.join(&self.fork);
-        }
-        clock.tick(actor);
-    }
-
-    fn sup_tick(&mut self) {
-        self.sup.tick(SUPERVISOR);
-    }
-
-    fn flag(&mut self, rule: &'static str, line: u32, message: String) {
+impl Checker<'_> {
+    fn flag(&mut self, rule: &'static str, line: usize, message: String) {
         self.report.findings.push(HbFinding {
             rule,
-            path: self.label.clone(),
+            path: self.label.to_string(),
             line,
             message,
         });
@@ -241,7 +175,7 @@ impl Checker {
 
     /// H004: a worker event tagged `step` must not precede the window's
     /// resume step.
-    fn check_step(&mut self, what: &str, worker: &str, step: u64, line: u32) {
+    fn check_step(&mut self, what: &str, worker: &str, step: u64, line: usize) {
         if step < self.window.resume_step {
             self.flag(
                 "H004",
@@ -258,7 +192,7 @@ impl Checker {
     /// H005: move `from → to`'s in-flight count by `delta` (+1 for a
     /// non-empty send, -1 for a non-empty receive) and flag a send that
     /// leaves more than [`MAX_IN_FLIGHT`] messages unreceived.
-    fn count_in_flight(&mut self, from: &str, to: &str, delta: i64, line: u32) {
+    fn count_in_flight(&mut self, from: &str, to: &str, delta: i64, line: usize) {
         let key = (from.to_string(), to.to_string());
         let count = self.window.in_flight.entry(key).or_default();
         *count += delta;
@@ -277,6 +211,62 @@ impl Checker {
         }
     }
 
+    /// H002: a worker's banks advance within an attempt, from its resume
+    /// step on.
+    fn checkpoint(&mut self, worker: &str, through: u64, line: usize) {
+        if through < self.window.resume_step {
+            self.flag(
+                "H002",
+                line,
+                format!(
+                    "checkpoint by {worker} banks through {through}, below the \
+                     attempt's resume_step {}",
+                    self.window.resume_step
+                ),
+            );
+        }
+        if let Some(&(prev, prev_line)) = self.window.through.get(worker) {
+            if through < prev {
+                self.flag(
+                    "H002",
+                    line,
+                    format!(
+                        "checkpoint by {worker} regresses: through {through} after \
+                         banking through {prev} (line {prev_line}) in the same attempt"
+                    ),
+                );
+            }
+        }
+        let entry = self
+            .window
+            .through
+            .entry(worker.to_string())
+            .or_insert((through, line));
+        if through >= entry.0 {
+            *entry = (through, line);
+        }
+    }
+
+    /// H003: a blame needs a backoff re-attempt or a self-report since the
+    /// previous blame; a conviction closes its evidence episode.
+    fn blame(&mut self, dead: &str, line: usize) {
+        if !self.retried && !self.confessed {
+            self.flag(
+                "H003",
+                line,
+                format!(
+                    "{dead} blamed before retry-budget exhaustion: no backoff \
+                     re-attempt (ExecResume with backoff_nanos > 0) and no self-report \
+                     (ExecPeerLost with worker == peer) precede this blame"
+                ),
+            );
+        }
+        self.retried = false;
+        self.confessed = false;
+    }
+
+    /// Count the implicit run of a stream whose executor events come
+    /// without an `exec.run` span.
     fn ensure_run(&mut self) {
         if !self.in_run {
             self.in_run = true;
@@ -285,18 +275,26 @@ impl Checker {
         }
     }
 
-    fn event(&mut self, event: &EventKind, line: u32) {
+    /// Close the current attempt window and open the next one.
+    fn open_window(&mut self, resume_step: u64) {
+        let next = Window {
+            resume_step,
+            ..Window::default()
+        };
+        let closed = std::mem::replace(&mut self.window, next);
+        self.report.windows += 1;
+        self.match_window(closed);
+    }
+
+    fn event(&mut self, event: &EventKind, line: usize) {
         match event {
             EventKind::SpanStart { name, .. } if name == "exec.run" => {
-                self.close_window();
+                self.open_window(0);
                 self.in_run = true;
                 self.report.runs += 1;
-                self.report.windows += 1;
-                self.window = Window::default();
-                self.retry_resume_seen = false;
-                self.conclusive_evidence = false;
-                self.sup_tick();
-                self.fork = self.sup.clone();
+                self.retried = false;
+                self.confessed = false;
+                return;
             }
             EventKind::ExecResume {
                 resume_step,
@@ -304,23 +302,9 @@ impl Checker {
                 ..
             } => {
                 self.ensure_run();
-                self.close_window();
-                self.report.windows += 1;
-                // Barrier in: the supervisor joined every worker thread
-                // before deciding to resume.
-                let worker_clocks: Vec<VectorClock> = self.clocks.values().cloned().collect();
-                for c in &worker_clocks {
-                    self.sup.join(c);
-                }
-                self.sup_tick();
-                self.fork = self.sup.clone();
-                self.window = Window {
-                    resume_step: *resume_step,
-                    ..Window::default()
-                };
-                if *backoff_nanos > 0 {
-                    self.retry_resume_seen = true;
-                }
+                self.open_window(*resume_step);
+                self.retried |= *backoff_nanos > 0;
+                return;
             }
             EventKind::ExecSend {
                 from,
@@ -328,23 +312,15 @@ impl Checker {
                 step,
                 elems,
             } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                self.worker_tick(from.as_str());
-                let (from, to, step) = (from.clone(), to.clone(), *step);
-                self.check_step("send", &from.clone(), step, line);
+                self.check_step("send", from, *step, line);
                 if *elems > 0 {
-                    self.count_in_flight(&from, &to, 1, line);
+                    self.count_in_flight(from, to, 1, line);
                 }
                 self.window
                     .sends
-                    .entry((from, to, step))
+                    .entry((from.clone(), to.clone(), *step))
                     .or_default()
-                    .push(SendRec {
-                        elems: *elems,
-                        line,
-                        consumed: false,
-                    });
+                    .push_back((*elems, line));
             }
             EventKind::ExecRecv {
                 from,
@@ -353,187 +329,78 @@ impl Checker {
                 elems,
                 ..
             } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                self.worker_tick(to.as_str());
-                let to_name = to.clone();
-                self.check_step("recv", &to_name, *step, line);
+                self.check_step("recv", to, *step, line);
                 if *elems > 0 {
                     self.count_in_flight(from, to, -1, line);
-                    self.window.recvs.push(RecvRec {
-                        from: from.clone(),
-                        to: to.clone(),
-                        step: *step,
-                        elems: *elems,
-                        line,
-                    });
+                    let key = (from.clone(), to.clone(), *step);
+                    self.window.recvs.push((key, *elems, line));
                 }
             }
             EventKind::ExecRetry { worker, step, .. } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                let w = worker.clone();
-                self.worker_tick(&w);
-                self.check_step("retry", &w, *step, line);
+                self.check_step("retry", worker, *step, line);
+            }
+            EventKind::ExecSegment { worker, step, .. } => {
+                self.check_step("segment", worker, *step, line);
             }
             EventKind::ExecCheckpoint {
                 worker, through, ..
-            } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                let w = worker.clone();
-                self.worker_tick(&w);
-                if *through < self.window.resume_step {
-                    self.flag(
-                        "H002",
-                        line,
-                        format!(
-                            "checkpoint by {w} banks through {through}, below the \
-                             attempt's resume_step {}",
-                            self.window.resume_step
-                        ),
-                    );
-                }
-                if let Some(&(prev, prev_line)) = self.window.through.get(&w) {
-                    if *through < prev {
-                        self.flag(
-                            "H002",
-                            line,
-                            format!(
-                                "checkpoint by {w} regresses: through {through} after \
-                                 banking through {prev} (line {prev_line}) in the same attempt"
-                            ),
-                        );
-                    }
-                }
-                let entry = self.window.through.entry(w).or_insert((*through, line));
-                if *through >= entry.0 {
-                    *entry = (*through, line);
-                }
-            }
-            EventKind::ExecSegment { worker, step, .. } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                let w = worker.clone();
-                self.worker_tick(&w);
-                self.check_step("segment", &w, *step, line);
-            }
+            } => self.checkpoint(worker, *through, line),
             EventKind::ExecPeerLost {
-                worker,
-                peer,
-                step,
-                detail,
+                worker, peer, step, ..
             } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                let w = worker.clone();
-                self.worker_tick(&w);
-                // A self-report (worker == peer: a crash confession or a
-                // panic caught at join time) is testimony about where the
-                // fault fired, not work being replayed — exempt from the
-                // H004 step bound. The panic path cannot even know a
-                // step and tags 0.
-                if worker != peer {
-                    self.check_step("peer-lost report", &w, *step, line);
-                }
-                if detail.contains("disconnected")
-                    || detail.contains("panicked")
-                    || detail.contains("crashed")
-                {
-                    self.conclusive_evidence = true;
+                // A self-report (a crash confession, or a panic caught at
+                // join) is what the supervisor convicts on at once, and
+                // it is testimony about where the fault fired, not work
+                // being replayed, so H004 exempts it. The panic path
+                // cannot even know a step and tags 0.
+                if worker == peer {
+                    self.confessed = true;
+                } else {
+                    self.check_step("peer-lost report", worker, *step, line);
                 }
             }
-            EventKind::ExecBlame { dead, .. } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                self.sup_tick();
-                if !self.retry_resume_seen && !self.conclusive_evidence {
-                    self.flag(
-                        "H003",
-                        line,
-                        format!(
-                            "{dead} blamed before retry-budget exhaustion: no backoff \
-                             re-attempt (ExecResume with backoff_nanos > 0) and no \
-                             conclusive testimony (disconnect/panic/crash) precede this blame"
-                        ),
-                    );
-                }
-                // A conviction closes its evidence episode; the next blame
-                // needs fresh justification.
-                self.retry_resume_seen = false;
-                self.conclusive_evidence = false;
-            }
-            EventKind::ExecRepartition { .. } | EventKind::ExecDegraded { .. } => {
-                self.ensure_run();
-                self.report.exec_events += 1;
-                self.sup_tick();
-            }
-            _ => {}
+            EventKind::ExecBlame { dead, .. } => self.blame(dead, line),
+            EventKind::ExecRepartition { .. } | EventKind::ExecDegraded { .. } => {}
+            _ => return,
         }
+        self.ensure_run();
+        self.report.exec_events += 1;
     }
 
-    /// H001 is checked at window close so that benign emission races
-    /// (a receiver writing its `ExecRecv` line before the sender's
+    /// H001 is checked when a window closes, so that benign emission
+    /// races (a receiver writing its `ExecRecv` line before the sender's
     /// `ExecSend` hits the sink) cannot produce false positives: within
     /// an attempt window, matching is order-free.
-    fn close_window(&mut self) {
-        let recvs = std::mem::take(&mut self.window.recvs);
-        for r in recvs {
-            let key = (r.from.clone(), r.to.clone(), r.step);
-            let unconsumed = self
-                .window
-                .sends
-                .get_mut(&key)
-                .map(|sends| sends.iter_mut().find(|s| !s.consumed));
-            let problem = match unconsumed {
-                Some(Some(send)) => {
-                    send.consumed = true;
-                    (send.elems != r.elems).then(|| {
-                        format!(
-                            "recv {}→{} step {} carries {} elems but the matching \
-                             send (line {}) carried {}",
-                            r.from, r.to, r.step, r.elems, send.line, send.elems
-                        )
-                    })
-                }
-                Some(None) => Some(format!(
-                    "recv {}→{} step {} received a message that was only \
-                     sent once — duplicate delivery in one attempt",
-                    r.from, r.to, r.step
-                )),
-                None => Some(format!(
-                    "recv {}→{} step {} completed with no matching send in \
-                     this attempt",
-                    r.from, r.to, r.step
-                )),
+    fn match_window(&mut self, window: Window) {
+        let Window {
+            mut sends, recvs, ..
+        } = window;
+        for (key, elems, line) in recvs {
+            let (from, to, step) = &key;
+            let message = match sends.get_mut(&key).map(VecDeque::pop_front) {
+                Some(Some((sent, _))) if sent == elems => continue,
+                Some(Some((sent, sent_line))) => format!(
+                    "recv {from}→{to} step {step} carries {elems} elems but the matching \
+                     send (line {sent_line}) carried {sent}"
+                ),
+                Some(None) => format!(
+                    "recv {from}→{to} step {step} received a message that was only \
+                     sent once — duplicate delivery in one attempt"
+                ),
+                None => format!(
+                    "recv {from}→{to} step {step} completed with no matching send in \
+                     this attempt"
+                ),
             };
-            if let Some(message) = problem {
-                self.flag("H001", r.line, message);
-            }
+            self.flag("H001", line, message);
         }
-        self.window.sends.clear();
-        self.window.through.clear();
-        self.window.joined.clear();
-    }
-
-    fn finish(mut self) -> HbReport {
-        self.close_window();
-        for (actor, clock) in &self.clocks {
-            let own = clock.0.get(actor).copied().unwrap_or(0);
-            self.report.clocks.insert(actor.clone(), own);
-        }
-        let sup_own = self.sup.0.get(SUPERVISOR).copied().unwrap_or(0);
-        if sup_own > 0 {
-            self.report.clocks.insert(SUPERVISOR.to_string(), sup_own);
-        }
-        self.report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmmm_obs::EventKind as EK;
+    use hetmmm_obs::{EventKind as EK, EventRecord, SCHEMA_VERSION};
 
     fn rec(ts: u64, event: EK) -> String {
         serde_json::to_string(&EventRecord {
@@ -607,7 +474,7 @@ mod tests {
         }
     }
 
-    fn stream(events: Vec<EK>) -> String {
+    fn text(events: Vec<EK>) -> String {
         events
             .into_iter()
             .enumerate()
@@ -616,9 +483,13 @@ mod tests {
             .join("\n")
     }
 
+    fn stream(events: Vec<EK>) -> EventLog {
+        EventLog::parse_str(&text(events))
+    }
+
     #[test]
     fn clean_exchange_passes_with_clocks() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             recv("R", "S", 0, 7),
@@ -627,25 +498,22 @@ mod tests {
             checkpoint("R", 1),
             checkpoint("R", 2),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert!(report.ok(), "{:?}", report.findings);
         assert_eq!(report.runs, 1);
         assert_eq!(report.windows, 1);
-        assert_eq!(report.clocks.get("R"), Some(&4));
-        assert_eq!(report.clocks.get("S"), Some(&2));
-        // S's clock saw R's send before its recv join… summary renders.
         assert!(report.summary().contains("violation(s)"));
     }
 
     #[test]
     fn h001_fires_on_recv_without_send_with_line() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             recv("R", "S", 0, 7),
             recv("S", "R", 2, 5), // never sent
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "H001");
         assert_eq!(report.findings[0].line, 4);
@@ -656,44 +524,44 @@ mod tests {
     fn h001_is_order_free_within_a_window() {
         // Emission race: the recv line lands before its send line. Must
         // NOT fire — matching is per-window, not per-stream-order.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             recv("R", "S", 0, 7),
             send("R", "S", 0, 7),
         ]);
-        assert!(check_stream("t.jsonl", &text).ok());
+        assert!(check("t.jsonl", &log).ok());
     }
 
     #[test]
     fn h001_fires_on_elems_mismatch_and_duplicate_delivery() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             recv("R", "S", 0, 9), // wrong payload size
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].message.contains("carries 9 elems"));
 
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             recv("R", "S", 0, 7),
             recv("R", "S", 0, 7), // delivered twice
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].message.contains("duplicate delivery"));
     }
 
     #[test]
     fn h002_fires_on_checkpoint_regression() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             checkpoint("R", 5),
             checkpoint("R", 3),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "H002");
         assert_eq!(report.findings[0].line, 3);
@@ -704,23 +572,23 @@ mod tests {
     fn h002_allows_regression_across_attempts() {
         // Another worker lagged, so attempt 2 resumes at 3; R re-banks 4
         // after having banked 5 in attempt 1. Legal: windows reset.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             checkpoint("R", 5),
             resume(2, 3, 1000),
             checkpoint("R", 4),
         ]);
-        assert!(check_stream("t.jsonl", &text).ok());
+        assert!(check("t.jsonl", &log).ok());
     }
 
     #[test]
     fn h003_fires_on_blame_before_retry() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             peer_lost("R", "S", 2, "receive timed out"),
             blame("S"),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "H003");
         assert_eq!(report.findings[0].line, 3);
@@ -729,42 +597,69 @@ mod tests {
     #[test]
     fn h003_accepts_blame_after_backoff_resume_or_disconnect() {
         // Inconclusive evidence, but a backoff re-attempt was burned.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             peer_lost("R", "S", 2, "receive timed out"),
             resume(2, 0, 20_000),
             peer_lost("R", "S", 2, "receive timed out"),
             blame("S"),
         ]);
-        assert!(check_stream("t.jsonl", &text).ok());
-        // Conclusive: a disconnect (crash confession cascade).
-        let text = stream(vec![
+        assert!(check("t.jsonl", &log).ok());
+        // A bare disconnect is the cascade nearly every failed attempt
+        // produces, not a confession: no justification.
+        let log = stream(vec![
             span_start("exec.run"),
             peer_lost("R", "S", 2, "channel disconnected"),
             blame("S"),
         ]);
-        assert!(check_stream("t.jsonl", &text).ok());
+        let report = check("t.jsonl", &log);
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].rule, "H003");
         // A second conviction needs fresh evidence.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
-            peer_lost("R", "S", 2, "channel disconnected"),
+            peer_lost("S", "S", 2, "worker crashed (injected fault)"),
             blame("S"),
             peer_lost("R", "P", 4, "receive timed out"),
             blame("P"),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "H003");
+        assert_eq!(report.findings[0].line, 5);
+    }
+
+    #[test]
+    fn h003_convicts_on_a_self_report_not_on_a_disconnect() {
+        // Structure, not prose: a peer's testimony is no justification
+        // whatever its detail says, and a worker's report on itself is.
+        for (worker, detail, ok) in [
+            ("R", "channel disconnected", false),
+            ("R", "worker panicked: boom", false),
+            ("S", "worker crashed (injected fault)", true),
+            ("S", "worker panicked: boom", true),
+        ] {
+            let lost = peer_lost(worker, "S", 0, detail);
+            let report = check(
+                "t.jsonl",
+                &stream(vec![span_start("exec.run"), lost, blame("S")]),
+            );
+            assert_eq!(report.ok(), ok, "{worker}: {detail}");
+            assert!(report
+                .findings
+                .iter()
+                .all(|f| f.rule == "H003" && f.line == 3));
+        }
     }
 
     #[test]
     fn h004_fires_on_step_below_resume() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             resume(2, 4, 1000),
             send("R", "S", 2, 7), // replaying step 2 < resume 4
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert!(report.findings.iter().any(|f| f.rule == "H004"));
         let h004 = report.findings.iter().find(|f| f.rule == "H004").unwrap();
         assert_eq!(h004.line, 3);
@@ -773,7 +668,7 @@ mod tests {
 
     #[test]
     fn h005_fires_on_a_third_unreceived_send() {
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             send("R", "S", 4, 7),
@@ -782,7 +677,7 @@ mod tests {
             recv("R", "S", 4, 7),
             recv("R", "S", 8, 7),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
         assert_eq!(report.findings[0].rule, "H005");
         assert_eq!(report.findings[0].line, 4);
@@ -795,7 +690,7 @@ mod tests {
         // Lockstep at its widest: two sends ahead, an empty send that does
         // not count, and two more unreceived sends after a resume, whose
         // window starts from zero.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             send("R", "S", 4, 7),
@@ -806,7 +701,7 @@ mod tests {
             send("R", "S", 8, 7),
             send("R", "S", 12, 7),
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert!(report.ok(), "{:?}", report.findings);
         assert_eq!(report.max_in_flight, 2);
         assert!(report.summary().contains("at most 2 message(s) in flight"));
@@ -815,14 +710,14 @@ mod tests {
     #[test]
     fn runs_reset_windows_and_evidence() {
         // Two runs back to back: matching never crosses an exec.run span.
-        let text = stream(vec![
+        let log = stream(vec![
             span_start("exec.run"),
             send("R", "S", 0, 7),
             recv("R", "S", 0, 7),
             span_start("exec.run"),
             recv("R", "S", 0, 7), // second run: no send yet
         ]);
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &log);
         assert_eq!(report.runs, 2);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "H001");
@@ -830,19 +725,19 @@ mod tests {
 
     #[test]
     fn lenient_parse_counts_skips_and_ignores_foreign_schema() {
-        let mut text = stream(vec![span_start("exec.run"), send("R", "S", 0, 1)]);
-        text.push_str("\n\nnot json at all\n");
-        text.push_str(
+        let mut raw = text(vec![span_start("exec.run"), send("R", "S", 0, 1)]);
+        raw.push_str("\n\nnot json at all\n");
+        raw.push_str(
             &rec(9, send("R", "S", 1, 1)).replace(&format!("\"v\":{SCHEMA_VERSION}"), "\"v\":1"),
         );
-        let report = check_stream("t.jsonl", &text);
+        let report = check("t.jsonl", &EventLog::parse_str(&raw));
         assert_eq!(report.events, 2);
         assert_eq!(report.skipped_lines, 3);
     }
 
     #[test]
     fn stream_without_exec_events_passes_trivially() {
-        let report = check_stream("t.jsonl", &stream(vec![span_start("dfa.run")]));
+        let report = check("t.jsonl", &stream(vec![span_start("dfa.run")]));
         assert!(report.ok());
         assert_eq!(report.runs, 0);
         assert_eq!(report.exec_events, 0);

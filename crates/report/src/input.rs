@@ -1,82 +1,140 @@
-//! Lenient JSONL loaders for event and manifest streams.
+//! The lenient JSONL loader for event and manifest streams, and the only
+//! place in the workspace that reads them.
 //!
 //! Streams on disk can end mid-line (a run was killed, a sink was never
-//! flushed) or mix schema versions across reruns. The loaders here skip
-//! anything unparsable and *count* it, so reports can state how much of
-//! the input they actually saw instead of dying on line 10,000.
+//! flushed) or mix schema versions across reruns. The loader keeps every
+//! record of the current version with its 1-based line, and skips every
+//! other line with its reason (blank, unparseable, or a foreign `v`), so
+//! reports can state how much of the input they actually saw instead of
+//! dying on line 10,000, and validators can cite the line at fault.
 
-use hetmmm_obs::{EventRecord, RunManifest};
-use std::io;
+use hetmmm_obs::{EventRecord, RunManifest, MANIFEST_VERSION, SCHEMA_VERSION};
+use serde::Deserialize;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
-/// A parsed event stream (one [`EventRecord`] per good JSONL line).
-#[derive(Debug, Default, Clone)]
-pub struct EventLog {
+/// A JSONL record type that carries its schema version in `v`.
+pub trait Versioned: Deserialize {
+    /// The version this build reads; other versions are skipped.
+    const VERSION: u32;
+    /// The record's own `v`.
+    fn version(&self) -> u32;
+}
+
+impl Versioned for EventRecord {
+    const VERSION: u32 = SCHEMA_VERSION;
+    fn version(&self) -> u32 {
+        self.v
+    }
+}
+
+impl Versioned for RunManifest {
+    const VERSION: u32 = MANIFEST_VERSION;
+    fn version(&self) -> u32 {
+        self.v
+    }
+}
+
+/// Why the loader skipped a line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SkipReason {
+    /// Empty or whitespace only.
+    Blank,
+    /// Not a record of this type: the parser's message.
+    Unparseable(String),
+    /// A record of another schema version: its `v`.
+    Foreign(u32),
+}
+
+/// One skipped line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Skip {
+    /// 1-based line in the stream.
+    pub line: usize,
+    /// Why it was skipped.
+    pub reason: SkipReason,
+}
+
+/// A parsed JSONL stream: the records of the current version, in stream
+/// order, and the lines skipped.
+#[derive(Debug, Clone)]
+pub struct Jsonl<T> {
     /// Records in stream order.
-    pub records: Vec<EventRecord>,
-    /// Lines that failed to parse (truncation, corruption, alien schema).
-    pub skipped_lines: usize,
+    pub records: Vec<T>,
+    /// Each record's 1-based line (`lines[i]` is `records[i]`'s).
+    pub lines: Vec<usize>,
+    /// Lines that held no current record, in stream order.
+    pub skipped: Vec<Skip>,
 }
 
-impl EventLog {
+/// A parsed event stream.
+pub type EventLog = Jsonl<EventRecord>;
+/// A parsed manifest stream.
+pub type ManifestLog = Jsonl<RunManifest>;
+
+impl<T> Default for Jsonl<T> {
+    fn default() -> Self {
+        Jsonl {
+            records: Vec::new(),
+            lines: Vec::new(),
+            skipped: Vec::new(),
+        }
+    }
+}
+
+impl<T: Versioned> Jsonl<T> {
     /// Parse from in-memory JSONL text.
-    pub fn parse_str(text: &str) -> EventLog {
-        let mut log = EventLog::default();
+    pub fn parse_str(text: &str) -> Self {
+        let mut log = Self::default();
         for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<EventRecord>(line) {
-                Ok(record) => log.records.push(record),
-                Err(_) => log.skipped_lines += 1,
-            }
+            log.push_line(line);
         }
         log
     }
 
-    /// Load from a JSONL file.
-    pub fn read_path(path: impl AsRef<Path>) -> io::Result<EventLog> {
-        Ok(EventLog::parse_str(&std::fs::read_to_string(path)?))
-    }
-}
-
-/// A parsed manifest stream (one [`RunManifest`] per good JSONL line).
-#[derive(Debug, Default, Clone)]
-pub struct ManifestLog {
-    /// Manifests in stream order.
-    pub manifests: Vec<RunManifest>,
-    /// Lines that failed to parse.
-    pub skipped_lines: usize,
-}
-
-impl ManifestLog {
-    /// Parse from in-memory JSONL text.
-    pub fn parse_str(text: &str) -> ManifestLog {
-        let mut log = ManifestLog::default();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<RunManifest>(line) {
-                Ok(m) => log.manifests.push(m),
-                Err(_) => log.skipped_lines += 1,
-            }
+    /// Load from a JSONL file a line at a time, so the file's text is
+    /// never held whole beside its records.
+    pub fn read_path(path: impl AsRef<Path>) -> io::Result<Self> {
+        let mut log = Self::default();
+        for line in BufReader::new(File::open(path)?).lines() {
+            log.push_line(&line?);
         }
-        log
+        Ok(log)
     }
 
-    /// Load from a JSONL file.
-    pub fn read_path(path: impl AsRef<Path>) -> io::Result<ManifestLog> {
-        Ok(ManifestLog::parse_str(&std::fs::read_to_string(path)?))
+    /// Keep the next line's record, or skip the line with its reason.
+    fn push_line(&mut self, line: &str) {
+        let number = self.records.len() + self.skipped.len() + 1;
+        let reason = if line.trim().is_empty() {
+            SkipReason::Blank
+        } else {
+            match serde_json::from_str::<T>(line) {
+                Ok(record) if record.version() == T::VERSION => {
+                    self.records.push(record);
+                    self.lines.push(number);
+                    return;
+                }
+                Ok(record) => SkipReason::Foreign(record.version()),
+                Err(e) => SkipReason::Unparseable(e.to_string()),
+            }
+        };
+        self.skipped.push(Skip {
+            line: number,
+            reason,
+        });
+    }
+
+    /// Records with their 1-based lines, in stream order.
+    pub fn numbered(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.lines.iter().copied().zip(&self.records)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmmm_obs::{EventKind, MetricsSnapshot, MANIFEST_VERSION, SCHEMA_VERSION};
+    use hetmmm_obs::{EventKind, MetricsSnapshot};
 
     fn event_line(name: &str) -> String {
         serde_json::to_string(&EventRecord {
@@ -92,14 +150,27 @@ mod tests {
 
     #[test]
     fn good_lines_parse_and_bad_lines_are_counted() {
+        let old = event_line("c").replace(&format!("\"v\":{SCHEMA_VERSION}"), "\"v\":1");
         let text = format!(
-            "{}\n{{\"v\":2,\"ts_nanos\":3,\"event\"\n\n{}\nnot json\n",
+            "{}\n{{\"v\":2,\"ts_nanos\":3,\"event\"\n\n{}\nnot json\n{old}\n",
             event_line("a"),
             event_line("b")
         );
         let log = EventLog::parse_str(&text);
         assert_eq!(log.records.len(), 2);
-        assert_eq!(log.skipped_lines, 2, "truncated + garbage line");
+        let numbered: Vec<usize> = log.numbered().map(|(line, _)| line).collect();
+        assert_eq!(numbered, [1, 4]);
+        // Truncated, blank, garbage and foreign-schema lines.
+        let reasons: Vec<(usize, SkipReason)> = log
+            .skipped
+            .into_iter()
+            .map(|s| (s.line, s.reason))
+            .collect();
+        assert!(matches!(reasons[0], (2, SkipReason::Unparseable(_))));
+        assert_eq!(reasons[1], (3, SkipReason::Blank));
+        assert!(matches!(reasons[2], (5, SkipReason::Unparseable(_))));
+        assert_eq!(reasons[3], (6, SkipReason::Foreign(1)));
+        assert_eq!(reasons.len(), 4);
     }
 
     #[test]
@@ -118,7 +189,7 @@ mod tests {
         let good = serde_json::to_string(&m).unwrap();
         let text = format!("{good}\n{}\n", &good[..good.len() / 2]);
         let log = ManifestLog::parse_str(&text);
-        assert_eq!(log.manifests.len(), 1);
-        assert_eq!(log.skipped_lines, 1);
+        assert_eq!(log.records.len(), 1);
+        assert_eq!(log.skipped.len(), 1);
     }
 }

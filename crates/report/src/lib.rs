@@ -23,10 +23,11 @@
 //! - [`audit`] — the model-vs-measured prediction audit: calibrates an
 //!   effective platform from a measured timeline and reports per-model
 //!   relative error for all five cost models ([`audit::audit`]);
-//! - [`hb`] — the happens-before protocol checker over executor event
-//!   streams, rules H001–H005 ([`hb::check_stream`]);
-//! - [`input`] — lenient JSONL loaders that survive truncated lines
-//!   ([`EventLog`], [`ManifestLog`]).
+//! - [`hb`] — the happens-before protocol checker over parsed executor
+//!   event streams, rules H001–H005 over attempt windows ([`hb::check`]);
+//! - [`input`] — the workspace's one JSONL reader: a lenient loader for
+//!   event and manifest streams that keeps each record's line and each
+//!   skipped line's reason ([`EventLog`], [`ManifestLog`]).
 //!
 //! Every renderer is deterministic: aggregation is keyed by span path /
 //! metric name in sorted maps, raw span ids and thread ordinals are never
@@ -43,7 +44,7 @@ pub mod timeline;
 
 pub use analyze::{Analysis, ExactSummary, ManifestSummary, PushFunnel};
 pub use audit::{Audit, AuditError, AuditRow};
-pub use input::{EventLog, ManifestLog};
+pub use input::{EventLog, ManifestLog, Skip, SkipReason};
 pub use perf::{compare, median, BenchEntry, BenchSuite, Comparison, GateIssue, BENCH_VERSION};
 pub use profile::{FoldWeight, SpanNode, SpanProfile};
 pub use timeline::{CriticalPath, Segment, Timeline, WorkerSummary};

@@ -369,7 +369,6 @@ fn stats_types_round_trip_for_manifest_embedding() {
         s.recovery = RecoveryStats {
             faults_detected: 1,
             elems_reassigned: 42,
-            retries: 1,
             recv_retries: 3,
             attempt_retries: 2,
             backoff_nanos: 50_000_000,

@@ -1,8 +1,9 @@
 //! Integration tests for the timeline/attribution layer: a seeded
 //! executor run under `FakeClock` exports a byte-identical Chrome trace,
 //! segments reconstruct into a consistent per-worker timeline with a
-//! critical path bounded by the makespan, and every schema-v4 record the
-//! executor emits round-trips through the JSONL wire format.
+//! critical path bounded by the makespan, every schema-v4 record the
+//! executor emits round-trips through the JSONL wire format, and faulted
+//! runs' streams satisfy the happens-before rules H001–H005.
 //!
 //! The obs facade is process-global, so every test serializes on
 //! [`test_lock`] and restores global state before releasing it.
@@ -10,8 +11,9 @@
 use hetmmm::mmm::{multiply_partitioned_with, ExecConfig, Matrix};
 use hetmmm::prelude::*;
 use hetmmm_obs as obs;
-use hetmmm_report::Timeline;
+use hetmmm_report::{hb, EventLog, Timeline};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Serialize tests that touch the process-global facade state.
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -168,4 +170,73 @@ fn schema_v4_executor_records_round_trip_the_wire_format() {
         }
     }
     assert!(segments > 0, "run must carry ExecSegment events");
+}
+
+/// Run one instrumented multiply under a fault plan and check its stream,
+/// written out and read back as `obs_verify --hb` reads a file.
+fn hb_check_faulted(n: usize, config: &ExecConfig, what: &str) {
+    let sink = obs::CollectSink::new();
+    let id = obs::install_sink(sink.clone());
+    let a = Matrix::from_fn(n, |i, j| (i * n + j) as f64);
+    let (c, _) = multiply_partitioned_with(&a, &Matrix::identity(n), &striped_partition(n), config)
+        .expect("a single fault is survivable");
+    obs::uninstall_sink(id);
+    assert_eq!(c.max_abs_diff(&a), 0.0, "{what}: C = A·I");
+    let text: String = sink
+        .take()
+        .iter()
+        .map(|record| serde_json::to_string(record).expect("serialize record") + "\n")
+        .collect();
+    let report = hb::check(what, &EventLog::parse_str(&text));
+    assert!(report.ok(), "{what}: {:?}", report.findings);
+    assert_eq!((report.runs, report.skipped_lines), (1, 0), "{what}");
+    assert!(report.windows >= 2, "{what}: {}", report.summary());
+}
+
+#[test]
+fn faulted_executor_streams_satisfy_the_happens_before_rules() {
+    let _guard = test_lock();
+    reset_obs();
+    let n = 12;
+    let short = |timeout_ms| {
+        ExecConfig::default()
+            .with_recv_timeout(Duration::from_millis(timeout_ms))
+            .with_retry_attempts(1)
+            .with_backoff(Duration::from_millis(20), Duration::from_millis(40))
+    };
+    // Every single crash at blocks 1 and 4, 72 plans: the victim confesses
+    // and its peers see the disconnect cascade.
+    for block in [1, 4] {
+        for victim in Proc::ALL {
+            for step in 0..n {
+                let config = short(200)
+                    .with_block(block)
+                    .with_fault_plan(FaultPlan::crash(victim, step));
+                hb_check_faulted(
+                    n,
+                    &config,
+                    &format!("{victim} crashes at {step}, block {block}"),
+                );
+            }
+        }
+    }
+    // Inconclusive faults, with the fault tests' timeouts, earn a backoff
+    // re-attempt before their conviction.
+    let delay = FaultKind::DelaySendAt {
+        step: 5,
+        millis: 300,
+    };
+    let faults = [
+        (200, FaultKind::DropMessageAt { step: 5 }),
+        (80, FaultKind::StallAt { step: 5 }),
+        (50, delay),
+    ];
+    for victim in Proc::ALL {
+        for (timeout_ms, fault) in faults {
+            let plan = FaultPlan::new().with_fault(victim, fault);
+            let config = short(timeout_ms).with_block(4).with_fault_plan(plan);
+            hb_check_faulted(n, &config, &format!("{victim}: {fault:?}, block 4"));
+        }
+    }
+    reset_obs();
 }
